@@ -6,7 +6,6 @@ from .domain import (  # noqa: F401
     AgentProfile,
     DelegationOutcome,
     Environment,
-    EnvironmentSchedule,
     Scenario,
     Task,
     TrustRecord,

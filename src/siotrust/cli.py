@@ -25,7 +25,7 @@ from .experiments import (
     run_experiment_rows,
 )
 from .graph import GraphFormatError, compute_stats, load_edge_list, load_features, stats_csv
-from .report import Series, write_metrics, write_plot, write_summary, write_trace_log
+from .report import Series, series_from_rows, write_metrics, write_plot, write_summary, write_trace_log
 
 BUILTIN_GRAPHS = {
     "synthetic-50": "synthetic_50.edges",
@@ -110,17 +110,6 @@ def _aggregates(rows) -> dict:
     return out
 
 
-def _series_from_agg(rows, param: str, metric: str, name: str) -> Series:
-    points = []
-    for row in rows:
-        if row.param == param and row.run == AGGREGATE and row.metric.startswith(metric + "["):
-            if row.metric.endswith("]"):
-                idx = int(row.metric[len(metric) + 1:-1])
-                points.append((idx, row.value))
-    points.sort()
-    return Series(name=name, xs=tuple(float(i) for i, _ in points), ys=tuple(v for _, v in points))
-
-
 def _plots_for(which: str, rows: list[MetricsRow], scenario: Scenario) -> list[tuple]:
     """(filename stem, title, x label, y label, series list) per plot."""
     agg = _aggregates(rows)
@@ -163,19 +152,19 @@ def _plots_for(which: str, rows: list[MetricsRow], scenario: Scenario) -> list[t
     if which == "profit":
         plots = []
         series = [
-            _series_from_agg(rows, f"variant=random,strategy={s}", "net_profit", s)
+            series_from_rows(rows, f"variant=random,strategy={s}", "net_profit", s)
             for s in ("success_only", "full_profit")
         ]
         plots.append(("profit", "Net profit per iteration", "iteration", "net profit", series))
         attack = [
-            _series_from_agg(rows, f"variant=attack,strategy={s}", "cost", s)
+            series_from_rows(rows, f"variant=attack,strategy={s}", "cost", s)
             for s in ("success_only", "full_profit")
         ]
         plots.append(("profit_attack", "Realized cost under cost inflation", "task", "cost", attack))
         return plots
     if which == "environment":
         series = [
-            _series_from_agg(rows, f"regime={regime}", "s_hat", regime)
+            series_from_rows(rows, f"regime={regime}", "s_hat", regime)
             for regime in ("baseline", "uncorrected", "corrected")
         ]
         return [("environment", "Expected success rate through environment epochs",

@@ -14,7 +14,6 @@ the rng state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -25,7 +24,6 @@ from .domain import (
     AgentProfile,
     DelegationOutcome,
     Environment,
-    EnvironmentSchedule,
     Task,
     TrustRecord,
     TrustStore,
@@ -44,7 +42,6 @@ class DelegationRequest:
     strategy: str = eng.SUCCESS_ONLY
     transitivity: eng.TransitivityParams = eng.TransitivityParams()
     update: eng.UpdateParams = eng.UpdateParams()
-    epoch: int = 0
     env_corrected: bool = False
     allow_self: bool = False
     initial_estimates: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
@@ -107,9 +104,6 @@ class DelegationTrace:
         if self.char_paths:
             out["paths"] = {str(c): list(p) for c, p in sorted(self.char_paths.items())}
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def _mask(char_ids) -> int:
@@ -494,13 +488,8 @@ def run_delegation(
     recommendation records along the used paths), the trustee's usage log
     with the responsive/abusive draw. A caller-owned evaluator is kept
     coherent by invalidating every record pair this delegation writes.
-
-    `env` may be a single Environment or an EnvironmentSchedule, which the
-    request's epoch field indexes.
     """
     task = request.task
-    if isinstance(env, EnvironmentSchedule):
-        env = env.epoch_env(request.epoch)
     disc = discovery if discovery is not None else find_potential_trustees(
         graph, store, profiles, request, tasks, evaluator)
     ranked = _rank(disc.candidates, request.strategy)

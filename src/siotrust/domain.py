@@ -25,14 +25,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class Characteristic:
-    """Atomic capability component of a task."""
-
-    id: int
-    name: str = ""
-
-
-@dataclass(frozen=True)
 class Task:
     """A weighted bag of characteristics; weights sum to one.
 
@@ -145,9 +137,6 @@ class TrustStore:
         out.sort(key=lambda pair: pair[0])
         return out
 
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._by_pair.values())
-
 
 @dataclass(frozen=True)
 class AgentProfile:
@@ -219,11 +208,6 @@ class UsageLog:
             return (0, 0)
         return (entry[0], entry[1])
 
-    def copy(self) -> "UsageLog":
-        clone = UsageLog()
-        clone._counts = {k: list(v) for k, v in self._counts.items()}
-        return clone
-
 
 @dataclass(frozen=True)
 class Environment:
@@ -241,46 +225,6 @@ class Environment:
 
     def at(self, node: int) -> float:
         return self.values.get(node, self.default)
-
-
-@dataclass(frozen=True)
-class EnvironmentSchedule:
-    """Piecewise-constant environment over simulation epochs."""
-
-    epochs: tuple[tuple[int, Environment], ...]
-
-    def __post_init__(self):
-        if not self.epochs:
-            raise ValueError("schedule needs at least one epoch")
-        for length, _ in self.epochs:
-            if length <= 0:
-                raise ValueError("epoch length must be positive")
-
-    @classmethod
-    def uniform(cls, values: Sequence[float], length: int) -> "EnvironmentSchedule":
-        return cls(tuple((length, Environment(default=v)) for v in values))
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(length for length, _ in self.epochs)
-
-    def epoch_index(self, iteration: int) -> int:
-        """Epoch containing the given zero-based iteration; clamps past the end."""
-        remaining = iteration
-        for idx, (length, _) in enumerate(self.epochs):
-            if remaining < length:
-                return idx
-            remaining -= length
-        return len(self.epochs) - 1
-
-    def at_iteration(self, iteration: int) -> Environment:
-        return self.epochs[self.epoch_index(iteration)][1]
-
-    def epoch_env(self, index: int) -> Environment:
-        """Environment of the index-th epoch; clamps past the end."""
-        if index < 0:
-            raise ValueError("epoch index must be >= 0")
-        return self.epochs[min(index, len(self.epochs) - 1)][1]
 
 
 @dataclass(frozen=True)
@@ -390,6 +334,11 @@ class Scenario:
                 raise ScenarioError(f"unknown transitivity method {m!r}")
         if self.runs is not None and self.runs < 1:
             raise ScenarioError("runs must be >= 1")
+        if self.profit_candidates < 1:
+            raise ScenarioError("profit_candidates must be >= 1")
+        for name in ("theta_grid", "char_counts", "methods"):
+            if not getattr(self, name):
+                raise ScenarioError(f"{name} must not be empty")
         for v in self.env_values:
             if not 0.0 < v <= 1.0:
                 raise ScenarioError(f"environment values must be in (0, 1], got {v}")

@@ -44,7 +44,6 @@ EXPERIMENTS = ("mutuality", "inference", "transitivity", "profit", "environment"
 
 DEFAULT_RUNS = {
     "mutuality": 100,
-    "inference": 50,
     "transitivity": 20,
     "profit": 100,
     "environment": 100,
@@ -79,10 +78,13 @@ class ExperimentSpec:
 
     @property
     def effective_runs(self) -> int:
+        """Explicit runs, else the scenario's, else the default (inference: `inference_reps`)."""
         if self.runs is not None:
             return self.runs
         if self.scenario.runs is not None:
             return self.scenario.runs
+        if self.which == "inference":
+            return self.scenario.inference_reps
         return DEFAULT_RUNS[self.which]
 
     @property
@@ -205,8 +207,8 @@ def _mutuality_unit(args):
 def exp_mutuality(
     graph: SocialGraph,
     scenario: Scenario,
-    runs: Optional[int] = None,
-    master_seed: Optional[int] = None,
+    runs: int,
+    master_seed: int,
     jobs: int = 1,
     trace_sink: Optional[list] = None,
 ) -> list[MetricsRow]:
@@ -216,11 +218,9 @@ def exp_mutuality(
     trustees gate requests on the smoothed responsive-use history at each
     theta in the grid. World state is shared across theta points per run.
     """
-    runs = runs or scenario.runs or DEFAULT_RUNS["mutuality"]
-    master = master_seed if master_seed is not None else scenario.master_seed
     want_traces = trace_sink is not None
     units = [
-        (graph, scenario, theta, run, master, want_traces)
+        (graph, scenario, theta, run, master_seed, want_traces)
         for theta in scenario.theta_grid
         for run in range(runs)
     ]
@@ -241,7 +241,7 @@ def exp_mutuality(
 
 
 # ---------------------------------------------------------------------------
-# Characteristic inference: honest-trustee selection with and without it
+# Inference over characteristics: honest-trustee selection with and without it
 # ---------------------------------------------------------------------------
 
 TAINTED_TASK = 1
@@ -315,8 +315,8 @@ def _inference_unit(args):
 def exp_inference(
     graph: SocialGraph,
     scenario: Scenario,
-    runs: Optional[int] = None,
-    master_seed: Optional[int] = None,
+    runs: int,
+    master_seed: int,
     jobs: int = 1,
 ) -> list[MetricsRow]:
     """Fraction of trustors picking honest trustees, with vs without inference.
@@ -325,9 +325,7 @@ def exp_inference(
     characteristic with the requested one; inference propagates the taint,
     the no-inference baseline picks blindly among candidates.
     """
-    reps = runs or scenario.runs or scenario.inference_reps
-    master = master_seed if master_seed is not None else scenario.master_seed
-    units = [(graph, scenario, rep, master) for rep in range(reps)]
+    units = [(graph, scenario, rep, master_seed) for rep in range(runs)]
     results = _map_units(_inference_unit, units, jobs)
 
     rows: list[MetricsRow] = []
@@ -341,7 +339,7 @@ def exp_inference(
             rows.append(MetricsRow("inference", "selection", rep, metric, metrics[metric]))
     rows.extend(_aggregate_rows("inference", "selection", per_rep))
     rows.append(MetricsRow("inference", "selection", AGGREGATE, "wins", float(wins)))
-    rows.append(MetricsRow("inference", "selection", AGGREGATE, "reps", float(reps)))
+    rows.append(MetricsRow("inference", "selection", AGGREGATE, "reps", float(runs)))
     return rows
 
 
@@ -462,8 +460,8 @@ def _transitivity_unit(args):
 def exp_transitivity(
     graph: SocialGraph,
     scenario: Scenario,
-    runs: Optional[int] = None,
-    master_seed: Optional[int] = None,
+    runs: int,
+    master_seed: int,
     jobs: int = 1,
 ) -> list[MetricsRow]:
     """Delegation reach and success for the three transitivity methods.
@@ -473,15 +471,13 @@ def exp_transitivity(
     then requests one random task per run. The three methods evaluate the
     identical world, including a common success draw per request.
     """
-    runs = runs or scenario.runs or DEFAULT_RUNS["transitivity"]
-    master = master_seed if master_seed is not None else scenario.master_seed
     if scenario.tasks:
         # explicit task pool: a single grid point labeled by its alphabet size
         counts = (len({c for _, parts in scenario.tasks for c, _ in parts}),)
     else:
         counts = scenario.char_counts
     units = [
-        (graph, scenario, char_count, run, master)
+        (graph, scenario, char_count, run, master_seed)
         for char_count in counts
         for run in range(runs)
     ]
@@ -566,8 +562,8 @@ def _profit_unit(args):
 def exp_profit(
     graph: Optional[SocialGraph],
     scenario: Scenario,
-    runs: Optional[int] = None,
-    master_seed: Optional[int] = None,
+    runs: int,
+    master_seed: int,
     jobs: int = 1,
 ) -> list[MetricsRow]:
     """Realized net profit per iteration for the two selection strategies.
@@ -576,10 +572,8 @@ def exp_profit(
     variant adds cost-inflating dishonest candidates and tracks realized
     cost per task. The graph is not used: candidate pools are synthetic.
     """
-    runs = runs or scenario.runs or DEFAULT_RUNS["profit"]
-    master = master_seed if master_seed is not None else scenario.master_seed
     units = [
-        (scenario, variant, run, master)
+        (scenario, variant, run, master_seed)
         for variant in (VARIANT_RANDOM, VARIANT_ATTACK)
         for run in range(runs)
     ]
@@ -651,8 +645,8 @@ def _environment_unit(args):
 def exp_environment(
     graph: Optional[SocialGraph],
     scenario: Scenario,
-    runs: Optional[int] = None,
-    master_seed: Optional[int] = None,
+    runs: int,
+    master_seed: int,
     jobs: int = 1,
 ) -> list[MetricsRow]:
     """Expected-success tracking through environment epochs for one pair.
@@ -662,9 +656,7 @@ def exp_environment(
     environment-free baseline, uncorrected blending, and the corrected rule
     that divides out the worst environment.
     """
-    runs = runs or scenario.runs or DEFAULT_RUNS["environment"]
-    master = master_seed if master_seed is not None else scenario.master_seed
-    units = [(scenario, run, master) for run in range(runs)]
+    units = [(scenario, run, master_seed) for run in range(runs)]
     results = _map_units(_environment_unit, units, jobs)
 
     total = len(scenario.env_values) * scenario.env_epoch_length

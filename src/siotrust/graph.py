@@ -46,9 +46,6 @@ class SocialGraph:
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self.adjacency[node]
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.adjacency[u]
         i = bisect_left(nbrs, v)

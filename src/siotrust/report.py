@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -71,7 +71,10 @@ def read_metrics(path) -> list[MetricsRow]:
     for line in lines[1:]:
         if not line:
             continue
-        experiment, param, run, metric, value = line.split(",", 4)
+        # params may hold commas ("chars=4,method=traditional"); the other
+        # fields never do
+        experiment, rest = line.split(",", 1)
+        param, run, metric, value = rest.rsplit(",", 3)
         run_field: object = int(run) if run.isdigit() else run
         rows.append(MetricsRow(experiment, param, run_field, metric, float(value)))
     return rows
@@ -228,12 +231,3 @@ def write_summary(summary: dict, path) -> None:
     """Deterministic JSON summary; wall-clock timings stay on stdout, not here."""
     _atomic_write(Path(path), json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
-
-@dataclass
-class ReportBundle:
-    """Paths and summary for one experiment's outputs."""
-
-    metrics_path: Path
-    summary: dict
-    plot_paths: list[Path] = field(default_factory=list)
-    trace_path: Optional[Path] = None

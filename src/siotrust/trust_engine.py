@@ -1,16 +1,17 @@
-"""Trust mathematics: evaluation, updates, inference, transitivity, selection.
+"""Trust mathematics: evaluation, updates, inference, pairwise transit, selection.
 
 Every function here is pure: the TrustStore is read but never written, and
 updates return new records for the caller to apply. Trust values ("TW")
 are scalars in [0, 1]; a record maps to its TW through `post_evaluate`.
 
-Chain trust combines pairwise as a*b + (1-a)*(1-b). This includes the
-counterintuitive regime where two low trusts combine to a high value (a
-mistrusted recommender judged wrong about a mistrusted subject); it is
-kept as designed. Transit gates omega1 (recommendation hops) and omega2
-(the final service hop) apply uniformly to all three transitivity methods
-so that candidate sets nest: traditional within conservative within
-aggressive.
+Chain trust combines pairwise through `transit_pair` as a*b + (1-a)*(1-b).
+This includes the counterintuitive regime where two low trusts combine to
+a high value (a mistrusted recommender judged wrong about a mistrusted
+subject); it is kept as designed. The transitivity rules themselves (hop
+coverage, the omega1/omega2 gates, path folding and the per-characteristic
+combination of the aggressive method) live only in
+`delegation.find_potential_trustees`; the exhaustive-path oracle in
+`tests/test_transitivity.py` is their independent reference.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .domain import (
-    RECOMMENDATION,
-    SERVICE,
     AgentProfile,
     DelegationOutcome,
-    Environment,
     Task,
     TrustRecord,
     TrustStore,
@@ -143,19 +141,6 @@ def correct_realized(realized: float, min_env: float) -> float:
     return min(1.0, max(0.0, corrected))
 
 
-def env_correct(
-    env: Environment,
-    trustor: int,
-    trustee: int,
-    intermediates: Sequence[int],
-    realized: float,
-) -> float:
-    """Correct a realized value by the worst environment along the path."""
-    min_env = min(env.at(trustor), env.at(trustee), *(env.at(i) for i in intermediates)) \
-        if intermediates else min(env.at(trustor), env.at(trustee))
-    return correct_realized(realized, min_env)
-
-
 def update_estimates_env(record: TrustRecord, outcome: DelegationOutcome, params: UpdateParams) -> TrustRecord:
     """As update_estimates, but each realized quantity is environment-corrected.
 
@@ -267,183 +252,9 @@ def task_trust(
     return infer_task_tw(history, task)
 
 
-def subset_trust(
-    store: TrustStore,
-    observer: int,
-    subject: int,
-    parts: Sequence[tuple[int, float]],
-    kind: str,
-    tasks: Mapping[int, Task],
-) -> Optional[float]:
-    """Inferred trust over a sub-bag of characteristics, weights renormalized."""
-    history = record_history(store, observer, subject, kind, tasks)
-    if not history:
-        return None
-    return infer_subset_tw(history, parts)
-
-
 def transit_pair(tw_rec: float, tw_task: float) -> float:
     """Two-hop trust combination: agreement plus double-mistrust term."""
     return tw_rec * tw_task + (1.0 - tw_rec) * (1.0 - tw_task)
-
-
-def transit_traditional(path_tws: Sequence[float]) -> float:
-    """Product of trust values along a path; the pre-existing transfer rule."""
-    if not path_tws:
-        raise ValueError("path needs at least one trust value")
-    value = 1.0
-    for tw in path_tws:
-        value *= tw
-    return value
-
-
-def transit_chain(tws: Sequence[float], params: TransitivityParams) -> Optional[float]:
-    """Fold a chain of recommendation trusts ending in one task trust.
-
-    All entries but the last are recommendation trusts gated at omega1;
-    the last is the task trust gated at omega2. Returns None when any
-    gate fails (the blocked case).
-    """
-    if not tws:
-        raise ValueError("chain needs at least one trust value")
-    for tw in tws[:-1]:
-        if tw < params.omega1:
-            return None
-    if tws[-1] < params.omega2:
-        return None
-    value = tws[0]
-    for tw in tws[1:]:
-        value = transit_pair(value, tw)
-    return value
-
-
-def _hop_kinds(path: Sequence[int]):
-    """Yield (observer, subject, kind) per edge; the final edge is service."""
-    for i in range(len(path) - 1):
-        kind = SERVICE if i == len(path) - 2 else RECOMMENDATION
-        yield path[i], path[i + 1], kind
-
-
-def transit_conservative(
-    store: TrustStore,
-    path: Sequence[int],
-    target: Task,
-    params: TransitivityParams,
-    tasks: Mapping[int, Task],
-) -> Optional[float]:
-    """Chain trust requiring full target coverage at every hop of one path.
-
-    Each hop's trust is the full-task trust (direct record first, else
-    characteristic inference over everything the observer knows about the
-    subject). Missing coverage or a failed gate blocks the chain.
-    """
-    if len(path) < 2:
-        raise ValueError("path needs a trustor and a trustee")
-    if len(path) - 1 > params.max_hops:
-        return None
-    tws = []
-    for observer, subject, kind in _hop_kinds(path):
-        tw = task_trust(store, observer, subject, target, kind, tasks)
-        if tw is None:
-            return None
-        tws.append(tw)
-    return transit_chain(tws, params)
-
-
-def hop_coverage(
-    store: TrustStore,
-    observer: int,
-    subject: int,
-    kind: str,
-    target: Task,
-    tasks: Mapping[int, Task],
-) -> frozenset[int]:
-    """Target characteristics covered by the observer's records about the subject."""
-    covered = set()
-    target_chars = set(target.char_ids)
-    for task_id, _ in store.task_records(observer, subject, kind):
-        task = tasks.get(task_id)
-        if task is None:
-            continue
-        covered.update(target_chars.intersection(task.char_ids))
-    return frozenset(covered)
-
-
-def hop_subset_value(
-    store: TrustStore,
-    observer: int,
-    subject: int,
-    kind: str,
-    target: Task,
-    tasks: Mapping[int, Task],
-) -> tuple[frozenset[int], Optional[float]]:
-    """Coverage and trust of one hop over everything it can vouch for.
-
-    A hop covering the full target evaluates exactly as in the
-    conservative method (direct record first); partial coverage falls back
-    to renormalized inference over the covered sub-bag.
-    """
-    covered = hop_coverage(store, observer, subject, kind, target, tasks)
-    if not covered:
-        return covered, None
-    if len(covered) == len(target.parts):
-        return covered, task_trust(store, observer, subject, target, kind, tasks)
-    parts = [(c, w) for c, w in target.parts if c in covered]
-    return covered, subset_trust(store, observer, subject, parts, kind, tasks)
-
-
-def transit_aggressive(
-    store: TrustStore,
-    char_paths: Mapping[int, Sequence[int]],
-    target: Task,
-    params: TransitivityParams,
-    tasks: Mapping[int, Task],
-) -> Optional[float]:
-    """Combine per-characteristic chain values along possibly different paths.
-
-    Every characteristic of the target needs a gated path whose hops all
-    cover it; the chain folds each hop's covered-subset trust. The final
-    value is the target-weighted sum of per-characteristic chain values.
-    Blocked when any characteristic lacks a usable path.
-    """
-    chain_cache: dict[tuple[int, ...], Optional[tuple[frozenset[int], float]]] = {}
-
-    def eval_path(path: tuple[int, ...]) -> Optional[tuple[frozenset[int], float]]:
-        if path in chain_cache:
-            return chain_cache[path]
-        result = None
-        if 1 <= len(path) - 1 <= params.max_hops:
-            carried: Optional[frozenset[int]] = None
-            tws = []
-            for observer, subject, kind in _hop_kinds(path):
-                covered, tw = hop_subset_value(store, observer, subject, kind, target, tasks)
-                if tw is None:
-                    carried = frozenset()
-                    break
-                carried = covered if carried is None else carried & covered
-                if not carried:
-                    break
-                tws.append(tw)
-            if carried:
-                value = transit_chain(tws, params)
-                if value is not None:
-                    result = (carried, value)
-        chain_cache[path] = result
-        return result
-
-    total = 0.0
-    for char_id, weight in target.parts:
-        path = char_paths.get(char_id)
-        if path is None:
-            return None
-        evaluated = eval_path(tuple(path))
-        if evaluated is None:
-            return None
-        carried, value = evaluated
-        if char_id not in carried:
-            return None
-        total += weight * value
-    return total
 
 
 def reverse_trust(usage_log: UsageLog, trustee: int, trustor: int) -> float:

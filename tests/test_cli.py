@@ -67,6 +67,16 @@ class TestUsageErrors:
                                "--out", str(tmp_path / "out"))
         assert code == 1
 
+    def test_invalid_scenario_rejected_before_compute(self, capsys, tmp_path):
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"profit_candidates": 0}')
+        code, _, err = run_cli(capsys, "profit", "--scenario", str(scenario),
+                               "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExperimentRuns:
     def test_environment_outputs(self, capsys, tmp_path):
@@ -158,6 +168,17 @@ class TestExperimentRuns:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert set(summary["experiments"]) == {
             "mutuality", "inference", "transitivity", "profit", "environment"}
+
+    def test_inference_reps_sets_run_count(self, capsys, tmp_path):
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"inference_reps": 3}')
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "inference", "--scenario", str(scenario),
+                             "--out", str(out_dir))
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["experiments"]["inference"]["runs"] == 3
+        assert summary["experiments"]["inference"]["aggregates"]["selection"]["reps"] == 3
 
     def test_inference_run(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

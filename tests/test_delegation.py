@@ -20,6 +20,7 @@ from siotrust.domain import (
     UsageLog,
     make_task,
 )
+from siotrust.report import write_trace_log
 
 from conftest import make_graph
 
@@ -229,18 +230,17 @@ class TestRunDelegation:
                                req, random.Random(1), tasks)
         assert trace.chosen == 2
 
-    def test_environment_schedule_resolved_by_epoch(self):
-        from siotrust.domain import EnvironmentSchedule
+    def test_environment_scales_success_probability(self):
         graph, store, profiles, task, tasks = star_world(trustee_count=1)
-        schedule = EnvironmentSchedule.uniform([1.0, 0.25], 10)
-        # epoch 1 scales success probability to 0.25; competence is 1.0
-        req = request_for(task, epoch=1, update=eng.UpdateParams.uniform(0.0))
+        env = Environment(default=0.25)
+        # competence is 1.0, so the environment alone sets the success probability
+        req = request_for(task, update=eng.UpdateParams.uniform(0.0))
         hits = 0
         rng = random.Random(11)
         for _ in range(400):
             fresh = TrustStore()
             fresh.put(0, 1, ("task", 0), SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1, SERVICE))
-            trace = run_delegation(graph, profiles, fresh, UsageLog(), schedule, req, rng, tasks)
+            trace = run_delegation(graph, profiles, fresh, UsageLog(), env, req, rng, tasks)
             hits += trace.outcome.success
             assert trace.outcome.env_snapshot == (0.25, 0.25)
         assert abs(hits / 400 - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 400)
@@ -302,8 +302,8 @@ class TestDeterminism:
         for _ in range(40):
             trace = run_delegation(graph, profiles, store, usage, Environment(),
                                    request_for(task), rng, tasks)
-            lines.append(trace.to_json())
-        return "\n".join(lines)
+            lines.append(trace.to_dict())
+        return lines
 
     def test_identical_seeds_identical_traces(self):
         assert self.run_sequence(7) == self.run_sequence(7)
@@ -311,11 +311,13 @@ class TestDeterminism:
     def test_different_seeds_diverge(self):
         assert self.run_sequence(7) != self.run_sequence(8)
 
-    def test_trace_json_round_trips(self):
+    def test_trace_json_round_trips(self, tmp_path):
         graph, store, profiles, task, tasks = star_world()
         trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
                                request_for(task), random.Random(1), tasks)
-        data = json.loads(trace.to_json())
+        path = tmp_path / "trace.ndjson"
+        write_trace_log([trace.to_dict()], path)
+        data = json.loads(path.read_text())
         assert data["trustor"] == 0
         assert data["chosen"] == trace.chosen
         assert data["outcome"]["success"] == trace.outcome.success

@@ -8,12 +8,13 @@ from siotrust.domain import (
     SERVICE,
     AgentProfile,
     DelegationOutcome,
-    Environment,
     TrustRecord,
     TrustStore,
     UsageLog,
     make_task,
 )
+
+from conftest import chain_candidate, discover_on, tw_record
 
 unit = st.floats(0.0, 1.0)
 
@@ -114,15 +115,18 @@ class TestEnvCorrect:
         assert abs(eng.correct_realized(0.32, 0.4) - 0.8) < 1e-12
 
     def test_ideal_environment_identity(self):
-        env = Environment()
-        assert eng.env_correct(env, 0, 1, [2, 3], 0.73) == 0.73
+        assert eng.correct_realized(0.73, 1.0) == 0.73
 
     def test_overperformance_clamped(self):
         assert eng.correct_realized(0.9, 0.5) == 1.0
 
     def test_min_rule_uses_worst_node(self):
-        env = Environment(values={0: 1.0, 1: 0.8, 2: 0.4})
-        assert abs(eng.env_correct(env, 0, 1, [2], 0.2) - 0.5) < 1e-12
+        # snapshot (trustor, trustee, intermediate): the intermediate's 0.4 is the worst
+        outcome = DelegationOutcome(success=False, gain=0.0, damage=0.2, cost=0.2,
+                                    env_snapshot=(1.0, 0.8, 0.4))
+        updated = eng.update_estimates_env(record(0.5), outcome, eng.UpdateParams.uniform(0.0))
+        assert abs(updated.d_hat - 0.5) < 1e-12
+        assert abs(updated.c_hat - 0.5) < 1e-12
 
     def test_rejects_bad_environment(self):
         with pytest.raises(ValueError):
@@ -252,39 +256,45 @@ class TestTransitPair:
 
 
 class TestTransitTraditional:
+    """The traditional product rule, through discovery along a path graph."""
+
     def test_single_hop_is_direct_trust(self):
-        assert eng.transit_traditional([0.37]) == 0.37
+        cand = chain_candidate([0.37], "traditional")
+        assert cand.trust == eng.post_evaluate(tw_record(0.37))
 
     def test_all_ones(self):
-        assert eng.transit_traditional([1.0] * 5) == 1.0
+        assert chain_candidate([1.0] * 5, "traditional").trust == 1.0
 
     def test_product(self):
-        assert abs(eng.transit_traditional([0.9, 0.8]) - 0.72) < 1e-12
+        assert abs(chain_candidate([0.9, 0.8], "traditional").trust - 0.72) < 1e-12
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            eng.transit_traditional([])
+        target = make_task(0, [(0, 1.0)])
+        params = eng.TransitivityParams(0.0, 0.0, 3, "traditional")
+        assert discover_on(2, [(0, 1)], {}, target, {0: target}, params) == {}
 
 
 class TestTransitChain:
-    def params(self, w1=0.6, w2=0.6):
-        return eng.TransitivityParams(omega1=w1, omega2=w2)
+    """Gated chain folding, through discovery along a path graph."""
 
     def test_two_hop_value(self):
-        assert abs(eng.transit_chain([0.9, 0.8], self.params()) - 0.74) < 1e-12
+        cand = chain_candidate([0.9, 0.8], "aggressive", 0.6, 0.6)
+        assert abs(cand.trust - 0.74) < 1e-12
 
     def test_blocked_on_low_recommendation(self):
-        assert eng.transit_chain([0.5, 0.8], self.params()) is None
+        assert chain_candidate([0.5, 0.8], "conservative", 0.6, 0.6) is None
 
     def test_blocked_on_low_task_trust(self):
-        assert eng.transit_chain([0.9, 0.5], self.params()) is None
+        assert chain_candidate([0.9, 0.5], "conservative", 0.6, 0.6) is None
 
     def test_perfect_chain(self):
-        assert eng.transit_chain([1.0, 1.0], self.params()) == 1.0
+        assert chain_candidate([1.0, 1.0], "conservative", 0.6, 0.6).trust == 1.0
 
     def test_fold_order(self):
-        value = eng.transit_chain([0.9, 0.8, 0.7], self.params())
-        assert abs(value - eng.transit_pair(eng.transit_pair(0.9, 0.8), 0.7)) < 1e-15
+        cand = chain_candidate([0.9, 0.8, 0.7], "conservative", 0.6, 0.6)
+        tw = [eng.post_evaluate(tw_record(v)) for v in (0.9, 0.8, 0.7)]
+        assert cand.trust == eng.transit_pair(eng.transit_pair(tw[0], tw[1]), tw[2])
+        assert cand.best_path == (0, 1, 2, 3)
 
 
 class TestReverseEvaluation:

@@ -20,6 +20,7 @@ def rows_sample():
         MetricsRow("mutuality", "theta=0.3", 0, "abuse_rate", 0.5),
         MetricsRow("mutuality", "theta=0.3", AGGREGATE, "abuse_rate", 0.31172839),
         MetricsRow("mutuality", "theta=0", 0, "abuse_rate", 1e-07),
+        MetricsRow("transitivity", "chars=4,method=traditional", 0, "success_rate", 0.25),
     ]
 
 

@@ -1,8 +1,12 @@
 """Transitivity behaviour against an independent exhaustive-path oracle.
 
-The oracle below re-derives hop trust, gating, and path selection straight
-from the store, enumerating every simple path by permutation; it shares no
-code with the package's discovery walk.
+The transitivity rules (hop coverage, the omega gates, path folding, and the
+aggressive method's per-characteristic combination) live only in
+`delegation.find_potential_trustees`. The oracle below is their reference:
+it re-derives hop trust, gating, and path selection straight from the
+store, enumerating every simple path by permutation, and shares no code
+with the package's discovery walk. The unit cases below run discovery on
+path graphs of a few nodes.
 """
 
 import itertools
@@ -21,7 +25,7 @@ from siotrust.domain import (
     make_task,
 )
 
-from conftest import make_graph
+from conftest import chain_candidate, discover_on, make_graph, tw_record
 
 
 # ---------------------------------------------------------------------------
@@ -281,109 +285,75 @@ def test_interrogation_ordering():
         assert counts["traditional"] <= counts["conservative"] <= counts["aggressive"], f"seed {seed}"
 
 
-def test_engine_ops_agree_with_discovery():
-    checked_cons = checked_aggr = 0
-    for seed in range(N_INSTANCES):
-        graph, store, profiles, trustor, target, params, tasks = random_instance(seed)
-        cons_params = eng.TransitivityParams(params.omega1, params.omega2, params.max_hops,
-                                             "conservative")
-        disc = discover(graph, store, profiles, trustor, target, params, tasks, "conservative")
-        for cand in disc.candidates:
-            value = eng.transit_conservative(store, cand.best_path, target, cons_params, tasks)
-            assert value == cand.trust
-            checked_cons += 1
-        aggr_params = eng.TransitivityParams(params.omega1, params.omega2, params.max_hops,
-                                             "aggressive")
-        disc = discover(graph, store, profiles, trustor, target, params, tasks, "aggressive")
-        for cand in disc.candidates:
-            value = eng.transit_aggressive(store, cand.char_paths, target, aggr_params, tasks)
-            assert value == cand.trust
-            checked_aggr += 1
-    assert checked_cons > 50 and checked_aggr > 50
-
-
 class TestConservativeOp:
-    def setup_store(self):
-        store = TrustStore()
-        target = make_task(0, [(0, 0.5), (1, 0.5)])
-        tasks = {0: target}
-        return store, target, tasks
-
     def test_degenerate_direct_path_equals_record(self):
-        store, target, tasks = self.setup_store()
-        rec = TrustRecord(0.9, 1.0, 1.0, 0.0, 1, SERVICE)
-        store.put(0, 1, ("task", 0), SERVICE, rec)
-        params = eng.TransitivityParams(0.6, 0.6, 3, "conservative")
-        value = eng.transit_conservative(store, (0, 1), target, params, tasks)
-        assert value == eng.post_evaluate(rec)
+        cand = chain_candidate([0.9], "conservative", 0.6, 0.6)
+        assert cand.trust == eng.post_evaluate(tw_record(0.9))
+        assert cand.best_path == (0, 1)
 
     def test_missing_coverage_blocks(self):
-        store, target, tasks = self.setup_store()
-        partial = make_task(1, [(0, 1.0)])
-        tasks[1] = partial
-        store.put(0, 1, ("task", 1), RECOMMENDATION, TrustRecord(0.9, 1, 1, 0, 1, RECOMMENDATION))
-        store.put(1, 2, ("task", 0), SERVICE, TrustRecord(0.9, 1, 1, 0, 1, SERVICE))
+        target = make_task(0, [(0, 0.5), (1, 0.5)])
+        tasks = {0: target, 1: make_task(1, [(0, 1.0)])}
         params = eng.TransitivityParams(0.0, 0.0, 3, "conservative")
-        assert eng.transit_conservative(store, (0, 1, 2), target, params, tasks) is None
+        edges = [(0, 1), (1, 2)]
+        # the recommendation hop vouches for characteristic 0 only
+        partial = {(0, 1, 1, RECOMMENDATION): 0.9, (1, 2, 0, SERVICE): 0.9}
+        assert 2 not in discover_on(3, edges, partial, target, tasks, params)
+        full = {(0, 1, 0, RECOMMENDATION): 0.9, (1, 2, 0, SERVICE): 0.9}
+        assert 2 in discover_on(3, edges, full, target, tasks, params)
 
     def test_two_hop_chain_value(self):
-        store, target, tasks = self.setup_store()
-        # rec trust 0.9 and service trust 0.8 on the exact task combine to 0.74
-        rec = TrustRecord(0.85, 1.0, 1.0, 0.0, 1, RECOMMENDATION)     # tw = 0.9
-        svc = TrustRecord(0.7, 1.0, 1.0, 0.0, 1, SERVICE)             # tw = 0.8
-        store.put(0, 1, ("task", 0), RECOMMENDATION, rec)
-        store.put(1, 2, ("task", 0), SERVICE, svc)
-        params = eng.TransitivityParams(0.6, 0.6, 3, "conservative")
-        value = eng.transit_conservative(store, (0, 1, 2), target, params, tasks)
-        assert abs(value - 0.74) < 1e-12
+        cand = chain_candidate([0.9, 0.8], "conservative", 0.6, 0.6)
+        assert abs(cand.trust - 0.74) < 1e-12
+        assert cand.best_path == (0, 1, 2)
 
     def test_max_hops_enforced(self):
-        store, target, tasks = self.setup_store()
-        params = eng.TransitivityParams(0.0, 0.0, 1, "conservative")
-        assert eng.transit_conservative(store, (0, 1, 2), target, params, tasks) is None
+        assert chain_candidate([0.9, 0.8], "conservative", max_hops=1) is None
+        assert chain_candidate([0.9, 0.8], "conservative", max_hops=2) is not None
 
     def test_short_path_rejected(self):
-        store, target, tasks = self.setup_store()
-        params = eng.TransitivityParams(0.6, 0.6, 3, "conservative")
-        with pytest.raises(ValueError):
-            eng.transit_conservative(store, (0,), target, params, tasks)
+        # a path back to the trustor itself never yields a candidate
+        target = make_task(0, [(0, 1.0)])
+        records = {(0, 1, 0, RECOMMENDATION): 0.9, (1, 0, 0, SERVICE): 0.9,
+                   (0, 1, 0, SERVICE): 0.9}
+        params = eng.TransitivityParams(0.0, 0.0, 3, "conservative")
+        assert set(discover_on(2, [(0, 1)], records, target, {0: target}, params)) == {1}
 
 
 class TestAggressiveOp:
-    def build_split_paths(self):
+    EDGES = [(0, 1), (1, 4), (0, 2), (2, 4)]
+
+    def split_world(self):
         """Fig style: two characteristics vouched along two disjoint paths."""
         target = make_task(0, [(0, 0.5), (1, 0.5)])
-        t_a = make_task(1, [(0, 1.0)])
-        t_b = make_task(2, [(1, 1.0)])
-        tasks = {0: target, 1: t_a, 2: t_b}
-        store = TrustStore()
+        tasks = {0: target, 1: make_task(1, [(0, 1.0)]), 2: make_task(2, [(1, 1.0)])}
         # path 0-1-4 vouches characteristic 0; path 0-2-4 vouches characteristic 1
-        rec = TrustRecord(0.85, 1.0, 1.0, 0.0, 1, RECOMMENDATION)     # tw 0.9
-        svc = TrustRecord(0.7, 1.0, 1.0, 0.0, 1, SERVICE)             # tw 0.8
-        store.put(0, 1, ("task", 1), RECOMMENDATION, rec)
-        store.put(1, 4, ("task", 1), SERVICE, svc)
-        store.put(0, 2, ("task", 2), RECOMMENDATION, rec)
-        store.put(2, 4, ("task", 2), SERVICE, svc)
-        return store, target, tasks
+        records = {
+            (0, 1, 1, RECOMMENDATION): 0.9, (1, 4, 1, SERVICE): 0.8,
+            (0, 2, 2, RECOMMENDATION): 0.9, (2, 4, 2, SERVICE): 0.8,
+        }
+        return records, target, tasks
+
+    def discover(self, records, target, tasks):
+        params = eng.TransitivityParams(0.6, 0.6, 3, "aggressive")
+        return discover_on(5, self.EDGES, records, target, tasks, params)
 
     def test_symmetric_split(self):
-        store, target, tasks = self.build_split_paths()
-        params = eng.TransitivityParams(0.6, 0.6, 3, "aggressive")
-        value = eng.transit_aggressive(
-            store, {0: (0, 1, 4), 1: (0, 2, 4)}, target, params, tasks)
-        assert abs(value - 0.74) < 1e-12
+        cand = self.discover(*self.split_world())[4]
+        assert abs(cand.trust - 0.74) < 1e-12
+        assert cand.char_paths == {0: (0, 1, 4), 1: (0, 2, 4)}
 
     def test_missing_characteristic_blocks(self):
-        store, target, tasks = self.build_split_paths()
-        params = eng.TransitivityParams(0.6, 0.6, 3, "aggressive")
-        assert eng.transit_aggressive(store, {0: (0, 1, 4)}, target, params, tasks) is None
+        records, target, tasks = self.split_world()
+        del records[(2, 4, 2, SERVICE)]
+        assert 4 not in self.discover(records, target, tasks)
 
     def test_path_not_carrying_characteristic_blocks(self):
-        store, target, tasks = self.build_split_paths()
-        params = eng.TransitivityParams(0.6, 0.6, 3, "aggressive")
-        value = eng.transit_aggressive(
-            store, {0: (0, 2, 4), 1: (0, 2, 4)}, target, params, tasks)
-        assert value is None
+        # path 0-1-4 covers characteristic 0, then characteristic 1: it carries neither
+        records, target, tasks = self.split_world()
+        del records[(1, 4, 1, SERVICE)]
+        records[(1, 4, 2, SERVICE)] = 0.8
+        assert 4 not in self.discover(records, target, tasks)
 
     def test_single_characteristic_equals_conservative(self):
         for seed in range(40):
