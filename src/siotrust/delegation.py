@@ -106,21 +106,30 @@ class DelegationTrace:
         return out
 
 
-def _mask(char_ids) -> int:
-    m = 0
-    for c in char_ids:
-        m |= 1 << c
-    return m
-
-
 class PathEvaluator:
-    """Memoized hop evaluations against one store, task registry, and profiles.
+    """Memoized discovery evidence and hop evaluations against one store.
 
-    Coverage is held as characteristic bitmasks per (observer, subject,
-    kind), task-independent; hop trust values cache per task on top.
-    Profiles must stay fixed for the evaluator's lifetime; store changes
-    are fine as long as every touched (observer, subject) pair is passed
-    to `invalidate`, which run_delegation does for the records it writes.
+    Neighbour index: for each node, built lazily from `pair_info` at most
+    once, the node's neighbours in `graph.neighbors` order with the
+    task-independent evidence the node holds about them, as two lists of
+    (neighbour, exact task ids, covered-characteristic mask): one of
+    recommendation evidence, one of service evidence about trustee-capable
+    neighbours only. Neighbours without records are left out, since an
+    empty mask passes no method's test.
+
+    Row cache: `evidence_row` filters a node's index per (method, task)
+    with one test per neighbour and caches the resulting row.
+
+    Hop cache: `pair_info`, `full_tw` and `subset_tw` memoize per
+    (observer, subject, kind), trust values per task on top.
+
+    Invalidation contract: profiles must stay fixed for the evaluator's
+    lifetime. The store may change as long as every written (observer,
+    subject) pair is passed to `invalidate`, as run_delegation does. A
+    value-only write (an existing record updated) drops that pair's hop
+    cache and keeps the index and rows, whose ids and masks it cannot
+    change; a structural write (a record created) also drops the
+    observer's index entry and all of its rows.
     """
 
     def __init__(self, store: TrustStore, tasks: Mapping[int, Task]):
@@ -129,14 +138,14 @@ class PathEvaluator:
         self._pair: dict = {}
         self._full: dict = {}
         self._subset: dict = {}
+        self._neighbours: dict = {}
         self._evidence: dict = {}
 
     def invalidate(self, observer: int, subject: int, structural: bool = False) -> None:
         """Drop cached hop data after the observer's records about subject changed.
 
-        Value-only updates keep the evidence rows (which records exist is
-        unchanged); `structural` marks a newly created record, which also
-        drops the observer's evidence rows.
+        `structural` marks a newly created record, which also drops the
+        observer's neighbour index entry and evidence rows.
         """
         for kind in (SERVICE, RECOMMENDATION):
             key = (observer, subject, kind)
@@ -144,6 +153,7 @@ class PathEvaluator:
             self._full.pop(key, None)
             self._subset.pop(key, None)
         if structural:
+            self._neighbours.pop(observer, None)
             for rows in self._evidence.values():
                 rows.pop(observer, None)
 
@@ -160,7 +170,7 @@ class PathEvaluator:
                 if task is None:
                     continue
                 ids.add(task_id)
-                mask |= _mask(task.char_ids)
+                mask |= task.mask
                 history.append((task, eng.post_evaluate(rec)))
             hit = (frozenset(ids), mask, tuple(history))
             self._pair[key] = hit
@@ -189,10 +199,10 @@ class PathEvaluator:
         hit = bucket.get(task.id)
         if hit is None:
             _, pair_mask, history = self.pair_info(observer, subject, kind)
-            covered = pair_mask & _mask(task.char_ids)
+            covered = pair_mask & task.mask
             if covered == 0:
                 hit = (0, None)
-            elif covered == _mask(task.char_ids):
+            elif covered == task.mask:
                 hit = (covered, self.full_tw(observer, subject, kind, task))
             else:
                 parts = [(c, w) for c, w in task.parts if (1 << c) & covered]
@@ -200,45 +210,50 @@ class PathEvaluator:
             bucket[task.id] = hit
         return hit
 
+    def _neighbour_index(self, graph, profiles, node: int):
+        """(recommendation evidence, service evidence) lists of `node`'s neighbours."""
+        hit = self._neighbours.get(node)
+        if hit is None:
+            rec = []
+            svc = []
+            for nbr in graph.neighbors(node):
+                rec_ids, rec_mask, _ = self.pair_info(node, nbr, RECOMMENDATION)
+                if rec_mask:
+                    rec.append((nbr, rec_ids, rec_mask))
+                prof = profiles.get(nbr)
+                if prof is not None and prof.is_trustee:
+                    svc_ids, svc_mask, _ = self.pair_info(node, nbr, SERVICE)
+                    if svc_mask:
+                        svc.append((nbr, svc_ids, svc_mask))
+            hit = (rec, svc)
+            self._neighbours[node] = hit
+        return hit
+
     def evidence_row(self, graph, profiles, method: str, task: Task, node: int):
         """Evidenced out-edges of `node`: (recommendation targets, service targets).
 
-        Evidence is the method's ungated relevance test; gates are applied
-        later, during path evaluation. Rows build lazily and cache per
-        (method, task).
+        Evidence is the method's ungated relevance test: the exact task id
+        (traditional), every task characteristic (conservative) or any of
+        them (aggressive). Gates are applied later, during path evaluation.
         """
         rows = self._evidence.setdefault((method, task.id), {})
         hit = rows.get(node)
-        if hit is not None:
-            return hit
-        task_mask = _mask(task.char_ids)
-        rec_out = []
-        svc_out = []
-        for nbr in graph.neighbors(node):
-            rec_ids, rec_mask, _ = self.pair_info(node, nbr, RECOMMENDATION)
-            if method == eng.TRADITIONAL:
-                rec_ok = task.id in rec_ids
-            elif method == eng.CONSERVATIVE:
-                rec_ok = rec_mask & task_mask == task_mask
-            else:
-                rec_ok = bool(rec_mask & task_mask)
-            if rec_ok:
-                rec_out.append(nbr)
-            prof = profiles.get(nbr)
-            if prof is None or not prof.is_trustee:
-                continue
-            svc_ids, svc_mask, _ = self.pair_info(node, nbr, SERVICE)
-            if method == eng.TRADITIONAL:
-                svc_ok = task.id in svc_ids
-            elif method == eng.CONSERVATIVE:
-                svc_ok = svc_mask & task_mask == task_mask
-            else:
-                svc_ok = bool(svc_mask & task_mask)
-            if svc_ok:
-                svc_out.append(nbr)
-        hit = (tuple(rec_out), tuple(svc_out))
-        rows[node] = hit
+        if hit is None:
+            rec, svc = self._neighbour_index(graph, profiles, node)
+            hit = (_evidenced(rec, method, task), _evidenced(svc, method, task))
+            rows[node] = hit
         return hit
+
+
+def _evidenced(entries, method: str, task: Task) -> tuple[int, ...]:
+    """The neighbours in `entries` whose evidence passes the method's test."""
+    if method == eng.TRADITIONAL:
+        task_id = task.id
+        return tuple(nbr for nbr, ids, _ in entries if task_id in ids)
+    task_mask = task.mask
+    if method == eng.CONSERVATIVE:
+        return tuple(nbr for nbr, _, mask in entries if mask & task_mask == task_mask)
+    return tuple(nbr for nbr, _, mask in entries if mask & task_mask)
 
 
 def _prefer(new: tuple[float, tuple[int, ...]], cur: Optional[tuple[float, tuple[int, ...]]]) -> bool:
@@ -272,7 +287,7 @@ def find_potential_trustees(
     task = request.task
     trustor = request.trustor
     ev = evaluator or PathEvaluator(store, tasks)
-    task_mask = _mask(task.char_ids)
+    task_mask = task.mask
 
     def row(node: int):
         return ev.evidence_row(graph, profiles, method, task, node)
@@ -375,6 +390,9 @@ def find_potential_trustees(
             walk(path + (s,), next_prefix, next_carried)
 
     walk((trustor,), None, task_mask)
+    # walk's closure holds walk itself; clearing it frees that cycle, and the
+    # evaluator it reaches, by reference counting rather than the collector
+    del walk
 
     candidates = []
     if method == eng.AGGRESSIVE:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -36,9 +37,17 @@ class Task:
     id: int
     parts: tuple[tuple[int, float], ...]
 
-    @property
+    @cached_property
     def char_ids(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.parts)
+
+    @cached_property
+    def mask(self) -> int:
+        """The characteristic ids as a bitmask: bit c is set for characteristic c."""
+        m = 0
+        for c in self.char_ids:
+            m |= 1 << c
+        return m
 
     def weight_of(self, char_id: int) -> Optional[float]:
         for c, w in self.parts:
@@ -334,9 +343,11 @@ class Scenario:
                 raise ScenarioError(f"unknown transitivity method {m!r}")
         if self.runs is not None and self.runs < 1:
             raise ScenarioError("runs must be >= 1")
-        if self.profit_candidates < 1:
-            raise ScenarioError("profit_candidates must be >= 1")
-        for name in ("theta_grid", "char_counts", "methods"):
+        for name in ("mutuality_rounds", "profit_candidates", "profit_iterations",
+                     "attack_tasks", "env_epoch_length"):
+            if getattr(self, name) < 1:
+                raise ScenarioError(f"{name} must be >= 1")
+        for name in ("theta_grid", "char_counts", "methods", "env_values"):
             if not getattr(self, name):
                 raise ScenarioError(f"{name} must not be empty")
         for v in self.env_values:

@@ -30,6 +30,7 @@ from .domain import (
     AgentProfile,
     Environment,
     Scenario,
+    ScenarioError,
     Task,
     TrustRecord,
     TrustStore,
@@ -37,7 +38,7 @@ from .domain import (
     initial_record,
     make_task,
 )
-from .graph import SocialGraph, sample_roles
+from .graph import SocialGraph, role_count, sample_roles
 from .seeds import derive_seed
 
 EXPERIMENTS = ("mutuality", "inference", "transitivity", "profit", "environment")
@@ -93,8 +94,12 @@ class ExperimentSpec:
 
 
 def _map_units(worker: Callable, units: list, jobs: int) -> list:
-    """Run unit jobs, optionally on a process pool; result order is unit order."""
-    if jobs <= 1 or len(units) <= 1:
+    """Run unit jobs, optionally on a process pool; result order is unit order.
+
+    The pool gets at most one worker per unit.
+    """
+    jobs = min(jobs, len(units))
+    if jobs <= 1:
         return [worker(u) for u in units]
     chunk = max(1, len(units) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -385,6 +390,7 @@ def _transitivity_unit(args):
         char_ids = list(range(char_count))
     tasks = {t.id: t for t in pool}
     roles = sample_roles(graph, sc.role_fraction, rng, sc.disjoint_roles)
+    trustor_set = set(roles.trustors)
     trustee_set = set(roles.trustees)
     features = graph.features if sc.use_features else None
 
@@ -401,7 +407,7 @@ def _transitivity_unit(args):
     profiles = {
         n: AgentProfile(
             node=n,
-            is_trustor=n in set(roles.trustors),
+            is_trustor=n in trustor_set,
             is_trustee=n in trustee_set,
             competence=competence[n],
         )
@@ -691,11 +697,26 @@ def run_experiment_rows(
     jobs: int = 1,
     trace_sink: Optional[list] = None,
 ) -> list[MetricsRow]:
-    """Run one experiment and return its metric rows."""
+    """Run one experiment and return its metric rows.
+
+    For the graph experiments, raises ScenarioError before any compute
+    when the scenario's role sample would be empty or its disjoint roles
+    cannot fit in the graph.
+    """
     runner = _RUNNERS[spec.which]
     kwargs = dict(runs=spec.effective_runs, master_seed=spec.effective_seed, jobs=jobs)
     if spec.which == "mutuality":
         kwargs["trace_sink"] = trace_sink
-    if spec.which in ("mutuality", "inference", "transitivity") and graph is None:
-        raise ValueError(f"experiment {spec.which!r} needs a graph")
+    if spec.which in ("mutuality", "inference", "transitivity"):
+        if graph is None:
+            raise ValueError(f"experiment {spec.which!r} needs a graph")
+        sc = spec.scenario
+        try:
+            count = role_count(graph, sc.role_fraction, sc.disjoint_roles)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+        if count == 0:
+            raise ScenarioError(
+                f"role_fraction {sc.role_fraction:g} samples no trustors "
+                f"on a {graph.node_count}-node graph")
     return runner(graph, spec.scenario, **kwargs)

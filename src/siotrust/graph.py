@@ -278,6 +278,21 @@ def stats_csv(stats: GraphStats) -> str:
     return STATS_HEADER + "\n" + row + "\n"
 
 
+def role_count(graph: SocialGraph, fraction: float, disjoint: bool = False) -> int:
+    """Size of each of sample_roles' two samples, round(fraction * N).
+
+    Raises ValueError for a fraction outside (0, 1], or when `disjoint`
+    samples of that size cannot fit in the graph.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    n = graph.node_count
+    count = round(fraction * n)
+    if disjoint and 2 * count > n:
+        raise ValueError(f"cannot draw disjoint roles: 2 * {count} > {n} nodes")
+    return count
+
+
 def sample_roles(
     graph: SocialGraph,
     fraction: float,
@@ -289,14 +304,10 @@ def sample_roles(
     The two samples are independent and may overlap unless `disjoint` is
     set. Deterministic for a given rng state.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    count = role_count(graph, fraction, disjoint)
     n = graph.node_count
-    count = round(fraction * n)
     trustors = sorted(rng.sample(range(n), count))
     if disjoint:
-        if 2 * count > n:
-            raise ValueError(f"cannot draw disjoint roles: 2 * {count} > {n} nodes")
         remaining = sorted(set(range(n)) - set(trustors))
         trustees = sorted(rng.sample(remaining, count))
     else:

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from siotrust.cli import main
 
 
@@ -76,6 +78,22 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,scenario", [
+        ("mutuality", {"role_fraction": 0.1}),
+        ("transitivity", {"role_fraction": 0.1}),
+        ("mutuality", {"mutuality_rounds": 0}),
+    ], ids=["mutuality-no-trustors", "transitivity-no-trustors", "mutuality-zero-rounds"])
+    def test_empty_request_set_rejected(self, capsys, tmp_path, command, scenario):
+        graph = tmp_path / "path4.edges"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(scenario))
+        code, _, err = run_cli(capsys, command, "--graph", str(graph), "--scenario",
+                               str(scenario_path), "--runs", "1", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestExperimentRuns:

@@ -1,10 +1,13 @@
+import gc
 import json
 import math
 import random
+import weakref
 
 import siotrust.trust_engine as eng
 from siotrust.delegation import (
     DelegationRequest,
+    PathEvaluator,
     effective_success_probability,
     find_potential_trustees,
     run_delegation,
@@ -94,6 +97,20 @@ class TestDiscovery:
         graph, store, profiles, task, tasks = star_world()
         disc = find_potential_trustees(graph, store, profiles, request_for(task), tasks)
         assert {c.node for c in disc.candidates} <= set(disc.interrogated)
+
+    def test_evaluator_freed_without_cycle_collection(self):
+        # a cycle left by discovery would keep a finished unit's evaluator,
+        # and through it the unit's whole store, alive until a gen-2 collection
+        graph, store, profiles, task, tasks = star_world()
+        ev = PathEvaluator(store, tasks)
+        ref = weakref.ref(ev)
+        gc.disable()
+        try:
+            find_potential_trustees(graph, store, profiles, request_for(task, max_hops=3), tasks, ev)
+            del ev
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSampleOutcome:
@@ -287,6 +304,58 @@ class TestRunDelegation:
         trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
                                req, random.Random(1), {0: task})
         assert trace.self_executed
+
+
+class TestEvaluatorCoherence:
+    """A reused evaluator must agree with a fresh one after run_delegation's writes."""
+
+    METHODS = ("traditional", "conservative", "aggressive")
+
+    def world(self):
+        # The 2-hop route 0-1-2 is evidenced only through tasks 1 and 2, which
+        # cover the target's characteristics; the edge 0-2 carries no record
+        # until a delegation to 2 creates one. 0-3-4 covers characteristic 1.
+        graph = make_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
+        target = make_task(0, [(0, 0.5), (1, 0.5)])
+        tasks = {t.id: t for t in (target, make_task(1, [(0, 1.0)]), make_task(2, [(1, 1.0)]))}
+        store = TrustStore()
+        rec = TrustRecord(0.9, 1.0, 1.0, 0.0, 1, RECOMMENDATION)
+        svc = TrustRecord(0.9, 1.0, 1.0, 0.0, 1, SERVICE)
+        store.put(0, 1, ("task", 1), RECOMMENDATION, rec)
+        store.put(0, 1, ("task", 2), RECOMMENDATION, rec)
+        store.put(1, 2, ("task", 0), SERVICE, svc)
+        store.put(0, 3, ("task", 2), RECOMMENDATION, rec)
+        store.put(3, 4, ("task", 0), SERVICE, svc)
+        profiles = {n: AgentProfile(node=n, is_trustor=n == 0, is_trustee=n in (2, 3, 4),
+                                    integrity=1.0, competence={0: 1.0, 1: 1.0})
+                    for n in range(5)}
+        return graph, store, profiles, target, tasks
+
+    def test_reused_evaluator_matches_fresh_after_each_delegation(self):
+        graph, store, profiles, target, tasks = self.world()
+        ev = PathEvaluator(store, tasks)
+        usage = UsageLog()
+        rng = random.Random(1)
+        row_before = ev.evidence_row(graph, profiles, eng.TRADITIONAL, target, 0)
+        assert row_before == ((), ())
+        for step, method in enumerate(("conservative", "traditional", "aggressive", "conservative")):
+            trace = run_delegation(graph, profiles, store, usage, Environment(),
+                                   request_for(target, method=method, max_hops=3), rng, tasks,
+                                   evaluator=ev)
+            assert trace.chosen == 2
+            if step == 0:
+                # structural: the delegation created 0's records about 1 and 2
+                assert store.get(0, 1, ("task", 0), RECOMMENDATION) is not None
+                assert ev.evidence_row(graph, profiles, eng.TRADITIONAL, target, 0) == ((1,), (2,))
+            # value-only from step 1 on: the service record about 2 is updated
+            assert store.get(0, 2, ("task", 0), SERVICE).interaction_count == step + 1
+            for m in self.METHODS:
+                request = request_for(target, method=m, max_hops=3)
+                reused = find_potential_trustees(graph, store, profiles, request, tasks, ev)
+                fresh = find_potential_trustees(graph, store, profiles, request, tasks,
+                                                PathEvaluator(store, tasks))
+                assert reused == fresh, (step, m)
+                assert reused.candidates
 
 
 class TestDeterminism:

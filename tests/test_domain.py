@@ -210,6 +210,8 @@ class TestScenario:
 
     @pytest.mark.parametrize("overrides", [
         {"profit_candidates": 0}, {"theta_grid": ()}, {"char_counts": ()}, {"methods": ()},
+        {"mutuality_rounds": 0}, {"profit_iterations": 0}, {"attack_tasks": 0},
+        {"env_epoch_length": 0}, {"env_values": ()},
     ], ids=lambda overrides: next(iter(overrides)))
     def test_rejected_before_compute(self, overrides):
         with pytest.raises(ScenarioError, match=next(iter(overrides))):

@@ -1,6 +1,7 @@
 import pytest
 
-from siotrust.domain import Scenario
+from siotrust import experiments
+from siotrust.domain import Scenario, ScenarioError
 from siotrust.experiments import (
     AGGREGATE,
     ExperimentSpec,
@@ -232,3 +233,37 @@ class TestRunner:
         serial = run_experiment_rows(spec, syn50_graph, jobs=1)
         parallel = run_experiment_rows(spec, syn50_graph, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("which", ["mutuality", "inference", "transitivity"])
+    @pytest.mark.parametrize("overrides", [
+        {"role_fraction": 0.005}, {"role_fraction": 0.6, "disjoint_roles": True},
+    ], ids=["no-trustors", "disjoint-overflow"])
+    def test_role_sampling_checked_before_compute(self, syn50_graph, monkeypatch, which, overrides):
+        def no_compute(*args):
+            raise AssertionError("units ran")
+        monkeypatch.setattr(experiments, "_map_units", no_compute)
+        spec = ExperimentSpec(which=which, scenario=Scenario(**overrides), runs=1)
+        with pytest.raises(ScenarioError, match="role|trustor"):
+            run_experiment_rows(spec, syn50_graph)
+
+    def test_jobs_capped_at_unit_count(self, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        spec = ExperimentSpec(which="environment", scenario=Scenario(env_epoch_length=5), runs=4)
+        rows = run_experiment_rows(spec, None, jobs=64)
+        assert workers == [4]
+        assert rows == run_experiment_rows(spec, None, jobs=1)
