@@ -424,19 +424,6 @@ def find_potential_trustees(
     return DiscoveryResult(candidates=tuple(candidates), interrogated=frozenset(interrogated))
 
 
-def effective_success_probability(
-    trustee: AgentProfile,
-    task: Task,
-    env: Environment,
-    trustor: int,
-    intermediates: Sequence[int] = (),
-) -> float:
-    """Ground-truth competence scaled by the worst environment on the path."""
-    nodes = [trustor, trustee.node, *intermediates]
-    min_env = min(env.at(n) for n in nodes)
-    return trustee.task_competence(task) * min_env
-
-
 def sample_outcome(
     trustor: AgentProfile,
     trustee: AgentProfile,
@@ -447,16 +434,16 @@ def sample_outcome(
 ) -> DelegationOutcome:
     """Realize one delegation against hidden ground truth.
 
-    Success is Bernoulli in the environment-scaled competence; an abusive
-    use is Bernoulli in (1 - trustor integrity). Dishonest trustees inflate
-    the realized cost by their scripted multiplier. Draw order is fixed:
-    success first, then abuse.
+    Success is Bernoulli in the trustee's competence scaled by the worst
+    environment in the outcome's snapshot (trustor, trustee, then the
+    intermediates); an abusive use is Bernoulli in (1 - trustor integrity).
+    Dishonest trustees inflate the realized cost by their scripted
+    multiplier. Draw order is fixed: success first, then abuse.
     """
-    eff = effective_success_probability(trustee, task, env, trustor.node, intermediates)
-    success = rng.random() < eff
+    snapshot = (env.at(trustor.node), env.at(trustee.node), *(env.at(i) for i in intermediates))
+    success = rng.random() < trustee.task_competence(task) * min(snapshot)
     abusive = rng.random() >= trustor.integrity
     cost = trustee.cost if trustee.honest else min(1.0, trustee.cost * trustee.cost_multiplier)
-    snapshot = (env.at(trustor.node), env.at(trustee.node), *(env.at(i) for i in intermediates))
     return DelegationOutcome(
         success=success,
         gain=trustee.gain if success else 0.0,

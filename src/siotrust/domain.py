@@ -343,13 +343,25 @@ class Scenario:
                 raise ScenarioError(f"unknown transitivity method {m!r}")
         if self.runs is not None and self.runs < 1:
             raise ScenarioError("runs must be >= 1")
-        for name in ("mutuality_rounds", "profit_candidates", "profit_iterations",
-                     "attack_tasks", "env_epoch_length"):
+        for name in ("mutuality_rounds", "inference_reps", "tasks_per_node", "profit_candidates",
+                     "profit_iterations", "attack_tasks", "env_epoch_length"):
             if getattr(self, name) < 1:
                 raise ScenarioError(f"{name} must be >= 1")
+        if self.preseed_uses < 0:
+            raise ScenarioError("preseed_uses must be >= 0")
+        for name in ("service_density", "rec_density", "dishonest_fraction", "taint_penalty"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ScenarioError(f"{name} must be in [0, 1], got {v}")
         for name in ("theta_grid", "char_counts", "methods", "env_values"):
             if not getattr(self, name):
                 raise ScenarioError(f"{name} must not be empty")
+        for v in self.theta_grid:
+            if not 0.0 <= v <= 1.0:
+                raise ScenarioError(f"theta_grid values must be in [0, 1], got {v}")
+        for v in self.char_counts:
+            if v < 1:
+                raise ScenarioError(f"char_counts values must be >= 1, got {v}")
         for v in self.env_values:
             if not 0.0 < v <= 1.0:
                 raise ScenarioError(f"environment values must be in (0, 1], got {v}")

@@ -272,17 +272,22 @@ def _inference_unit(args):
         for t in roles.trustees
     }
 
+    # a trustee's two seeded records depend only on the trustee, so every
+    # trustor neighbour shares the same frozen pair
+    seeded = {
+        t: (TrustRecord(competence[t][0] * (sc.taint_penalty if t in dishonest else 1.0),
+                        1.0, 1.0, 0.0, 1, SERVICE),
+            TrustRecord(competence[t][1], 1.0, 1.0, 0.0, 1, SERVICE))
+        for t in roles.trustees
+    }
     store = TrustStore()
     for x in roles.trustors:
         for t in graph.neighbors(x):
             if t not in trustee_set:
                 continue
-            s_a = competence[t][0] * (sc.taint_penalty if t in dishonest else 1.0)
-            s_b = competence[t][1]
-            store.put(x, t, ("task", TAINTED_TASK), SERVICE,
-                      TrustRecord(s_a, 1.0, 1.0, 0.0, 1, SERVICE))
-            store.put(x, t, ("task", CLEAN_TASK), SERVICE,
-                      TrustRecord(s_b, 1.0, 1.0, 0.0, 1, SERVICE))
+            rec_a, rec_b = seeded[t]
+            store.put(x, t, ("task", TAINTED_TASK), SERVICE, rec_a)
+            store.put(x, t, ("task", CLEAN_TASK), SERVICE, rec_b)
 
     rng_pick = random.Random(derive_seed(master, "inference-pick", rep))
     with_honest = without_honest = participants = 0
@@ -548,17 +553,18 @@ def _profit_unit(args):
 
     out = {}
     for strategy in (eng.SUCCESS_ONLY, eng.FULL_PROFIT):
-        records = {i: initial_record(sc.initial_estimates, SERVICE) for i in range(count)}
+        records = [initial_record(sc.initial_estimates, SERVICE)] * count
+        scores = [eng.strategy_score(rec, strategy) for rec in records]
         # common random numbers: both strategies face the identical draw
         # sequence, so their curves differ only through candidate choice
         rng_play = random.Random(derive_seed(master, "profit-play", variant, run_idx))
         profits = []
         costs = []
         for _ in range(iterations):
-            ranked = eng.select_trustee(sorted(records.items()), strategy)
-            node = ranked[0][0]
+            node = eng.select_trustee(scores)
             outcome = sample_outcome(trustor, profiles[node], task, env, (), rng_play)
             records[node] = eng.update_estimates(records[node], outcome, update)
+            scores[node] = eng.strategy_score(records[node], strategy)
             profits.append(outcome.gain - outcome.damage - outcome.cost)
             costs.append(outcome.cost)
         out[strategy] = {"profits": profits, "costs": costs}

@@ -206,39 +206,47 @@ def connected_components(graph: SocialGraph) -> list[list[int]]:
 
 
 def compute_stats(graph: SocialGraph) -> GraphStats:
-    """Connectivity statistics: BFS all-pairs paths, local clustering average.
+    """Connectivity statistics: bitset BFS all-pairs paths, local clustering average.
 
     Diameter and average path length are measured on the largest connected
-    component; the component count flags disconnected inputs. Clustering
-    averages over all nodes, with degree < 2 nodes contributing zero.
+    component; the component count flags disconnected inputs. Each node's
+    adjacency is an int bitmask. The BFS from each source in the component
+    expands one level at a time, until it has reached the whole component:
+    the next frontier is the OR of the frontier's masks minus the nodes
+    already reached, and each level adds `level * popcount` to the total
+    distance. Clustering averages over all nodes, with degree < 2 nodes
+    contributing zero.
     """
     n = graph.node_count
     if n == 0:
         raise GraphFormatError("cannot compute stats of an empty graph")
     comps = connected_components(graph)
     largest = comps[0]
-    in_largest = [False] * n
-    for node in largest:
-        in_largest[node] = True
 
     diameter = 0
     total_dist = 0
-    pair_count = 0
-    if len(largest) > 1:
-        for source in largest:
-            dist = {source: 0}
-            queue = deque([source])
-            while queue:
-                node = queue.popleft()
-                d = dist[node]
-                for nbr in graph.neighbors(node):
-                    if nbr not in dist:
-                        dist[nbr] = d + 1
-                        queue.append(nbr)
-            far = max(dist.values())
-            diameter = max(diameter, far)
-            total_dist += sum(dist.values())
-            pair_count += len(dist) - 1
+    masks = [0] * n
+    everyone = 0
+    for node in largest:
+        for nbr in graph.neighbors(node):
+            masks[node] |= 1 << nbr
+        everyone |= 1 << node
+    for source in largest:
+        seen = frontier = 1 << source
+        level = 0
+        while seen != everyone:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            level += 1
+            seen |= frontier
+            total_dist += level * frontier.bit_count()
+        diameter = max(diameter, level)
+    # every source in the component reaches every other node in it
+    pair_count = len(largest) * (len(largest) - 1)
     avg_path = total_dist / pair_count if pair_count else 0.0
 
     neighbor_sets = [set(nbrs) for nbrs in graph.adjacency]

@@ -274,23 +274,25 @@ def reverse_evaluate(
     return value >= trustee.threshold_for(task.id), value
 
 
-def select_trustee(
-    candidates: Sequence[tuple[int, TrustRecord]],
-    strategy: str = SUCCESS_ONLY,
-) -> list[tuple[int, TrustRecord]]:
-    """Rank candidates for delegation; an empty result signals "unavailable".
-
-    success_only ranks by expected success rate, full_profit by expected
-    net profit; ties break toward the lower node id. The ranked order
-    drives the retry-on-rejection loop.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+def strategy_score(record: TrustRecord, strategy: str) -> float:
+    """A record's selection score: `s_hat` for success_only, net profit for full_profit."""
     if strategy == SUCCESS_ONLY:
-        key = lambda pair: (-pair[1].s_hat, pair[0])
-    else:
-        key = lambda pair: (-net_profit(pair[1]), pair[0])
-    return sorted(candidates, key=key)
+        return record.s_hat
+    if strategy == FULL_PROFIT:
+        return net_profit(record)
+    raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+
+
+def select_trustee(scores: Sequence[float]) -> int:
+    """Index of the highest score; ties go to the lower index.
+
+    `scores` holds one `strategy_score` per candidate, indexed by
+    candidate. An empty sequence raises ValueError.
+    """
+    if not scores:
+        raise ValueError("select_trustee needs at least one score")
+    # max keeps the first maximum, so the lower index wins ties
+    return max(range(len(scores)), key=scores.__getitem__)
 
 
 def should_self_execute(self_record: TrustRecord, best_other: Optional[TrustRecord]) -> bool:

@@ -79,6 +79,16 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_inference_reps_rejected(self, capsys, tmp_path):
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"inference_reps": 0}')
+        code, _, err = run_cli(capsys, "inference", "--scenario", str(scenario),
+                               "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "error:" in err
+        assert "inference_reps" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command,scenario", [
         ("mutuality", {"role_fraction": 0.1}),
         ("transitivity", {"role_fraction": 0.1}),

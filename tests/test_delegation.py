@@ -8,7 +8,6 @@ import siotrust.trust_engine as eng
 from siotrust.delegation import (
     DelegationRequest,
     PathEvaluator,
-    effective_success_probability,
     find_potential_trustees,
     run_delegation,
     sample_outcome,
@@ -26,6 +25,16 @@ from siotrust.domain import (
 from siotrust.report import write_trace_log
 
 from conftest import make_graph
+
+
+class StubRng:
+    """An rng whose first draw is fixed; later draws are 0."""
+
+    def __init__(self, first):
+        self._draws = [first]
+
+    def random(self):
+        return self._draws.pop() if self._draws else 0.0
 
 
 def star_world(theta=0.0, trustee_count=3, s_hat=0.9):
@@ -115,10 +124,14 @@ class TestDiscovery:
 
 class TestSampleOutcome:
     def test_effective_probability_scales_with_environment(self):
+        # competence 0.8 times the worst environment 0.4 gives 0.32
+        trustor = AgentProfile(node=0, is_trustor=True, integrity=1.0)
         trustee = AgentProfile(node=1, is_trustee=True, competence={0: 0.8})
         task = make_task(0, [(0, 1.0)])
         env = Environment(values={0: 0.4, 1: 0.4})
-        assert abs(effective_success_probability(trustee, task, env, 0) - 0.32) < 1e-12
+        for draw, success in ((0.3199, True), (0.3201, False)):
+            outcome = sample_outcome(trustor, trustee, task, env, (), StubRng(draw))
+            assert outcome.success is success
 
     def test_perfect_competence_ideal_env_always_succeeds(self):
         trustor = AgentProfile(node=0, is_trustor=True, integrity=1.0)

@@ -212,6 +212,14 @@ class TestScenario:
         {"profit_candidates": 0}, {"theta_grid": ()}, {"char_counts": ()}, {"methods": ()},
         {"mutuality_rounds": 0}, {"profit_iterations": 0}, {"attack_tasks": 0},
         {"env_epoch_length": 0}, {"env_values": ()},
+        {"inference_reps": 0}, {"tasks_per_node": 0}, {"preseed_uses": -1},
+        {"service_density": -1.0}, {"rec_density": 1.5},
+        {"dishonest_fraction": 1.5}, {"taint_penalty": -0.1},
+        pytest.param({"char_counts": (4, 0)}, id="char_counts-entry-below-1"),
+        pytest.param({"theta_grid": (0.0, 1.5)}, id="theta_grid-entry-above-1"),
+        pytest.param({"theta_grid": (-0.1,)}, id="theta_grid-entry-below-0"),
+        pytest.param({"service_density": 1.5}, id="service_density-above-1"),
+        pytest.param({"rec_density": -0.5}, id="rec_density-below-0"),
     ], ids=lambda overrides: next(iter(overrides)))
     def test_rejected_before_compute(self, overrides):
         with pytest.raises(ScenarioError, match=next(iter(overrides))):

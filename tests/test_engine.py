@@ -330,41 +330,40 @@ class TestReverseEvaluation:
 
 class TestSelectTrustee:
     def test_single_candidate(self):
-        ranked = eng.select_trustee([(3, record(0.5))])
-        assert ranked[0][0] == 3
+        assert eng.select_trustee([eng.strategy_score(record(0.5), eng.SUCCESS_ONLY)]) == 0
 
     def test_success_ranking(self):
-        ranked = eng.select_trustee([(1, record(0.7)), (2, record(0.9))], eng.SUCCESS_ONLY)
-        assert [n for n, _ in ranked] == [2, 1]
+        scores = [eng.strategy_score(r, eng.SUCCESS_ONLY) for r in (record(0.7), record(0.9))]
+        assert scores == [0.7, 0.9]
+        assert eng.select_trustee(scores) == 1
 
     def test_full_profit_overrides_success(self):
         a = record(0.9, 0.1, 0.9, 0.1)
         b = record(0.7, 0.8, 0.1, 0.1)
-        ranked = eng.select_trustee([(1, a), (2, b)], eng.FULL_PROFIT)
-        assert [n for n, _ in ranked] == [2, 1]
-        assert abs(eng.net_profit(a) - (-0.1)) < 1e-12
-        assert abs(eng.net_profit(b) - 0.43) < 1e-12
+        assert eng.select_trustee([eng.strategy_score(r, eng.SUCCESS_ONLY) for r in (a, b)]) == 0
+        assert eng.select_trustee([eng.strategy_score(r, eng.FULL_PROFIT) for r in (a, b)]) == 1
+        assert abs(eng.strategy_score(a, eng.FULL_PROFIT) - (-0.1)) < 1e-12
+        assert abs(eng.strategy_score(b, eng.FULL_PROFIT) - 0.43) < 1e-12
 
     def test_tie_breaks_to_lower_id(self):
-        ranked = eng.select_trustee([(5, record(0.5)), (2, record(0.5))])
-        assert [n for n, _ in ranked] == [2, 5]
+        assert eng.select_trustee([0.3, 0.5, 0.2, 0.5]) == 1
 
-    def test_empty_is_unavailable(self):
-        assert eng.select_trustee([]) == []
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            eng.select_trustee([])
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            eng.select_trustee([(1, record(0.5))], "both")
+            eng.strategy_score(record(0.5), "both")
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(unit, unit, unit, unit), min_size=2, max_size=6),
            st.floats(0.01, 1.0))
     def test_scaling_invariance(self, specs, k):
-        base = [(i, record(s, g, d, c)) for i, (s, g, d, c) in enumerate(specs)]
-        scaled = [(i, record(s, g * k, d * k, c * k)) for i, (s, g, d, c) in enumerate(specs)]
-        rank_base = [n for n, _ in eng.select_trustee(base, eng.FULL_PROFIT)]
-        rank_scaled = [n for n, _ in eng.select_trustee(scaled, eng.FULL_PROFIT)]
-        assert rank_base == rank_scaled
+        base = [eng.strategy_score(record(s, g, d, c), eng.FULL_PROFIT) for s, g, d, c in specs]
+        scaled = [eng.strategy_score(record(s, g * k, d * k, c * k), eng.FULL_PROFIT)
+                  for s, g, d, c in specs]
+        assert eng.select_trustee(base) == eng.select_trustee(scaled)
 
 
 class TestShouldSelfExecute:

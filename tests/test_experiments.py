@@ -1,7 +1,19 @@
+import random
+
 import pytest
 
+import siotrust.trust_engine as eng
 from siotrust import experiments
-from siotrust.domain import Scenario, ScenarioError
+from siotrust.delegation import sample_outcome
+from siotrust.domain import (
+    SERVICE,
+    AgentProfile,
+    Environment,
+    Scenario,
+    ScenarioError,
+    initial_record,
+    make_task,
+)
 from siotrust.experiments import (
     AGGREGATE,
     ExperimentSpec,
@@ -12,6 +24,7 @@ from siotrust.experiments import (
     exp_transitivity,
     run_experiment_rows,
 )
+from siotrust.seeds import derive_seed
 
 
 def agg_map(rows):
@@ -179,6 +192,48 @@ class TestProfit:
         sc = Scenario(profit_iterations=10, attack_tasks=5)
         assert exp_profit(None, sc, runs=2, master_seed=4) == \
             exp_profit(None, sc, runs=2, master_seed=4)
+
+
+def reference_profit_series(profiles, trustor, sc, variant, run_idx, master, strategy):
+    """The profit loop with a full (-score, node) sort per selection."""
+    if strategy == eng.SUCCESS_ONLY:
+        score = lambda rec: rec.s_hat
+    else:
+        score = eng.net_profit
+    iterations = sc.attack_tasks if variant == experiments.VARIANT_ATTACK else sc.profit_iterations
+    records = {i: initial_record(sc.initial_estimates, SERVICE) for i in range(len(profiles))}
+    rng = random.Random(derive_seed(master, "profit-play", variant, run_idx))
+    task = make_task(0, [(0, 1.0)])
+    profits, costs = [], []
+    for _ in range(iterations):
+        node = sorted(records.items(), key=lambda pair: (-score(pair[1]), pair[0]))[0][0]
+        outcome = sample_outcome(trustor, profiles[node], task, Environment(), (), rng)
+        records[node] = eng.update_estimates(records[node], outcome, eng.UpdateParams.uniform(sc.beta))
+        profits.append(outcome.gain - outcome.damage - outcome.cost)
+        costs.append(outcome.cost)
+    return {"profits": profits, "costs": costs}
+
+
+class TestProfitOracle:
+    @pytest.mark.parametrize("variant", [experiments.VARIANT_RANDOM, experiments.VARIANT_ATTACK])
+    def test_unit_matches_full_sort_reference(self, monkeypatch, variant):
+        # equal initial estimates make the first picks five-way ties
+        sc = Scenario(profit_candidates=5, profit_iterations=80, attack_tasks=60)
+        built = []
+
+        def recording_profile(**kwargs):
+            built.append(AgentProfile(**kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "AgentProfile", recording_profile)
+        for run_idx in range(3):
+            built.clear()
+            _, _, out = experiments._profit_unit((sc, variant, run_idx, 7))
+            *profiles, trustor = built
+            assert len(profiles) == 5
+            for strategy in (eng.SUCCESS_ONLY, eng.FULL_PROFIT):
+                expected = reference_profit_series(profiles, trustor, sc, variant, run_idx, 7, strategy)
+                assert out[strategy] == expected
 
 
 class TestEnvironment:

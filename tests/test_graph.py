@@ -164,10 +164,17 @@ class TestComputeStats:
 
     def test_floyd_warshall_oracle_small_graphs(self):
         rng = random.Random(11)
+        graphs = [
+            make_graph(4, []),  # edgeless
+            make_graph(6, [(0, 1), (1, 2), (2, 3)]),  # isolated nodes 4 and 5
+            make_graph(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)]),
+            make_graph(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]),  # several components
+        ]
         for _ in range(25):
             n = rng.randint(2, 8)
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
-            g = make_graph(n, edges)
+            graphs.append(make_graph(n, edges))
+        for g in graphs:
             st_ = compute_stats(g)
             comp = connected_components(g)[0]
             inf = float("inf")
@@ -184,7 +191,15 @@ class TestComputeStats:
                 assert st_.diameter == max(pairs)
                 assert abs(st_.avg_path_length - sum(pairs) / len(pairs)) < 1e-12
             else:
-                assert st_.diameter == 0
+                assert (st_.diameter, st_.avg_path_length) == (0, 0.0)
+
+    def test_facebook_like_values_pinned(self, fb_graph):
+        # recorded with the per-node dict BFS that the bitset BFS replaced
+        st_ = compute_stats(fb_graph)
+        assert st_.diameter == 3
+        assert st_.avg_path_length == 2.3062584331428764
+        assert st_.avg_clustering == 0.4665673143885878
+        assert st_.components == 1
 
     def test_stats_csv_shape(self, triangle):
         text = stats_csv(compute_stats(triangle))
