@@ -15,7 +15,8 @@ the rng state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import trust_engine as eng
 from .domain import (
@@ -25,7 +26,6 @@ from .domain import (
     DelegationOutcome,
     Environment,
     Task,
-    TrustRecord,
     TrustStore,
     UsageLog,
     initial_record,
@@ -39,23 +39,18 @@ class DelegationRequest:
 
     trustor: int
     task: Task
-    strategy: str = eng.SUCCESS_ONLY
     transitivity: eng.TransitivityParams = eng.TransitivityParams()
     update: eng.UpdateParams = eng.UpdateParams()
-    env_corrected: bool = False
-    allow_self: bool = False
     initial_estimates: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A non-blocked potential trustee with its inferred trust and paths."""
 
     node: int
     trust: float
     best_path: tuple[int, ...]
     char_paths: Optional[dict[int, tuple[int, ...]]] = None
-    record: Optional[TrustRecord] = None
 
 
 @dataclass(frozen=True)
@@ -79,8 +74,6 @@ class DelegationTrace:
     chosen: Optional[int]
     outcome: Optional[DelegationOutcome]
     nodes_interrogated: int
-    char_paths: Optional[dict[int, tuple[int, ...]]] = None
-    self_executed: bool = False
 
     def to_dict(self) -> dict:
         out = {
@@ -90,7 +83,8 @@ class DelegationTrace:
             "rejections": [[n, round(t, 9)] for n, t in self.rejections],
             "chosen": self.chosen if self.chosen is not None else "unavailable",
             "interrogated": self.nodes_interrogated,
-            "self_executed": self.self_executed,
+            # the trace format keeps the key; the protocol never self-executes
+            "self_executed": False,
         }
         if self.outcome is not None:
             out["outcome"] = {
@@ -101,8 +95,6 @@ class DelegationTrace:
                 "abusive": self.outcome.abusive,
                 "env": list(self.outcome.env_snapshot),
             }
-        if self.char_paths:
-            out["paths"] = {str(c): list(p) for c, p in sorted(self.char_paths.items())}
         return out
 
 
@@ -120,8 +112,11 @@ class PathEvaluator:
     Row cache: `evidence_row` filters a node's index per (method, task)
     with one test per neighbour and caches the resulting row.
 
-    Hop cache: `pair_info`, `full_tw` and `subset_tw` memoize per
-    (observer, subject, kind), trust values per task on top.
+    Hops: one evaluator per method, each mapping (observer, subject, kind,
+    task) to (covered-characteristic mask, trust or None).
+    `direct_tw` (traditional) reads the record on the exact task;
+    `full_tw` (conservative) and `subset_tw` (aggressive) fall back to
+    inference and memoize per (observer, subject, kind), per task on top.
 
     Invalidation contract: profiles must stay fixed for the evaluator's
     lifetime. The store may change as long as every written (observer,
@@ -176,25 +171,27 @@ class PathEvaluator:
             self._pair[key] = hit
         return hit
 
-    def exact_tw(self, observer: int, subject: int, kind: str, task: Task) -> Optional[float]:
+    def direct_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
+        """Trust from the record on the exact task, unmemoized: records change per delegation."""
         rec = self.store.get(observer, subject, ("task", task.id), kind)
-        return None if rec is None else eng.post_evaluate(rec)
+        return (0, None) if rec is None else (task.mask, eng.post_evaluate(rec))
 
-    def full_tw(self, observer: int, subject: int, kind: str, task: Task) -> Optional[float]:
+    def full_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
+        """Trust over the whole task: the exact record, else inference with full coverage."""
         bucket = self._full.setdefault((observer, subject, kind), {})
-        if task.id in bucket:
-            return bucket[task.id]
-        rec = self.store.get(observer, subject, ("task", task.id), kind)
-        if rec is not None:
-            value = eng.post_evaluate(rec)
-        else:
-            history = self.pair_info(observer, subject, kind)[2]
-            value = eng.infer_task_tw(history, task) if history else None
-        bucket[task.id] = value
-        return value
+        hit = bucket.get(task.id)
+        if hit is None:
+            rec = self.store.get(observer, subject, ("task", task.id), kind)
+            if rec is not None:
+                value = eng.post_evaluate(rec)
+            else:
+                history = self.pair_info(observer, subject, kind)[2]
+                value = eng.infer_task_tw(history, task) if history else None
+            hit = bucket[task.id] = (task.mask, value)
+        return hit
 
     def subset_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
-        """Covered-mask and trust over the hop's covered part of the task."""
+        """Trust over the hop's covered part of the task."""
         bucket = self._subset.setdefault((observer, subject, kind), {})
         hit = bucket.get(task.id)
         if hit is None:
@@ -203,7 +200,7 @@ class PathEvaluator:
             if covered == 0:
                 hit = (0, None)
             elif covered == task.mask:
-                hit = (covered, self.full_tw(observer, subject, kind, task))
+                hit = self.full_tw(observer, subject, kind, task)
             else:
                 parts = [(c, w) for c, w in task.parts if (1 << c) & covered]
                 hit = (covered, eng.infer_subset_tw(history, parts) if history else None)
@@ -267,39 +264,15 @@ def _prefer(new: tuple[float, tuple[int, ...]], cur: Optional[tuple[float, tuple
     return new[1] < cur[1]
 
 
-def find_potential_trustees(
-    graph: SocialGraph,
-    store: TrustStore,
-    profiles: Mapping[int, AgentProfile],
-    request: DelegationRequest,
-    tasks: Mapping[int, Task],
-    evaluator: Optional[PathEvaluator] = None,
-) -> DiscoveryResult:
-    """Discover non-blocked potential trustees within max_hops of the trustor.
-
-    Relevance per method: traditional requires records on the exact task,
-    conservative records covering all target characteristics, aggressive
-    records covering any of them. Candidates are trustee-capable nodes whose
-    method-specific transitivity value is not blocked.
-    """
-    params = request.transitivity
-    method = params.method
-    task = request.task
-    trustor = request.trustor
-    ev = evaluator or PathEvaluator(store, tasks)
-    task_mask = task.mask
-
-    def row(node: int):
-        return ev.evidence_row(graph, profiles, method, task, node)
-
-    # Interrogation sweep: ungated, breadth-first through evidenced relays.
+def _interrogate(row, trustor: int, max_hops: int) -> frozenset[int]:
+    """The ungated sweep: breadth-first through evidenced relays, trustor excluded."""
     interrogated: set[int] = set()
     reached = {trustor}
     current = [trustor]
     depth = 0
     while current:
         nxt = []
-        relay = depth + 1 <= params.max_hops - 1
+        relay = depth + 1 <= max_hops - 1
         for o in current:
             rec_out, svc_out = row(o)
             interrogated.update(svc_out)
@@ -312,116 +285,116 @@ def find_potential_trustees(
         current = nxt
         depth += 1
     interrogated.discard(trustor)
+    return frozenset(interrogated)
 
-    # Candidate search: depth-first over gated recommendation hops.
-    def rec_hop(o: int, s: int) -> Optional[tuple[int, float]]:
-        if method == eng.TRADITIONAL:
-            tw = ev.exact_tw(o, s, RECOMMENDATION, task)
-            covered = task_mask
-        elif method == eng.CONSERVATIVE:
-            tw = ev.full_tw(o, s, RECOMMENDATION, task)
-            covered = task_mask
-        else:
-            covered, tw = ev.subset_tw(o, s, RECOMMENDATION, task)
-        if tw is None or tw < params.omega1:
-            return None
-        return covered, tw
 
-    def svc_hop(o: int, t: int) -> Optional[tuple[int, float]]:
-        if method == eng.TRADITIONAL:
-            tw = ev.exact_tw(o, t, SERVICE, task)
-            covered = task_mask
-        elif method == eng.CONSERVATIVE:
-            tw = ev.full_tw(o, t, SERVICE, task)
-            covered = task_mask
-        else:
-            covered, tw = ev.subset_tw(o, t, SERVICE, task)
-        if tw is None or tw < params.omega2:
-            return None
-        return covered, tw
+def _best_paths(row, hop, trustor: int, task: Task, params: eng.TransitivityParams) -> dict:
+    """Depth-first search over gated hops, as an explicit stack.
 
-    best_single: dict[int, tuple[float, tuple[int, ...]]] = {}
-    best_by_char: dict[int, dict[int, tuple[float, tuple[int, ...]]]] = {}
+    Returns the best (value, path) per reached trustee or, for the
+    aggressive method, per trustee and carried characteristic. `_prefer`
+    is a total order over distinct paths, so the visiting order does not
+    change the result.
+    """
+    method = params.method
+    omega1, omega2 = params.omega1, params.omega2
+    relay_len = params.max_hops - 1
+    # traditional chains multiply; the other methods fold through transit_pair
+    multiply = method == eng.TRADITIONAL
+    aggressive = method == eng.AGGRESSIVE
     char_bits = [(char_id, 1 << char_id) for char_id in task.char_ids]
-
-    def walk(path: tuple[int, ...], prefix: Optional[float], carried: int):
+    best: dict = {}
+    stack = [((trustor,), None, task.mask)]
+    while stack:
+        path, prefix, carried = stack.pop()
         o = path[-1]
         rec_out, svc_out = row(o)
         for t in svc_out:
             if t == trustor or t in path:
                 continue
-            hop = svc_hop(o, t)
-            if hop is None:
+            covered, tw = hop(o, t, SERVICE, task)
+            if tw is None or tw < omega2:
                 continue
-            covered, tw = hop
             final_carried = carried & covered
             if not final_carried:
                 continue
-            if prefix is None:
-                value = tw
-            elif method == eng.TRADITIONAL:
-                value = prefix * tw
-            else:
-                value = eng.transit_pair(prefix, tw)
-            entry = (value, path + (t,))
-            if method == eng.AGGRESSIVE:
-                per_char = best_by_char.setdefault(t, {})
+            if prefix is not None:
+                tw = prefix * tw if multiply else eng.transit_pair(prefix, tw)
+            entry = (tw, path + (t,))
+            if aggressive:
+                per_char = best.setdefault(t, {})
                 for char_id, bit in char_bits:
                     if bit & final_carried and _prefer(entry, per_char.get(char_id)):
                         per_char[char_id] = entry
             else:
-                if _prefer(entry, best_single.get(t)):
-                    best_single[t] = entry
-        if len(path) > params.max_hops - 1:
-            return
+                cur = best.get(t)
+                if cur is None or _prefer(entry, cur):
+                    best[t] = entry
+        if len(path) > relay_len:
+            continue
         for s in rec_out:
             if s == trustor or s in path:
                 continue
-            hop = rec_hop(o, s)
-            if hop is None:
+            covered, tw = hop(o, s, RECOMMENDATION, task)
+            if tw is None or tw < omega1:
                 continue
-            covered, tw = hop
             next_carried = carried & covered
             if not next_carried:
                 continue
-            next_prefix = tw if prefix is None else (
-                prefix * tw if method == eng.TRADITIONAL else eng.transit_pair(prefix, tw)
-            )
-            walk(path + (s,), next_prefix, next_carried)
+            if prefix is not None:
+                tw = prefix * tw if multiply else eng.transit_pair(prefix, tw)
+            stack.append((path + (s,), tw, next_carried))
+    return best
 
-    walk((trustor,), None, task_mask)
-    # walk's closure holds walk itself; clearing it frees that cycle, and the
-    # evaluator it reaches, by reference counting rather than the collector
-    del walk
 
-    candidates = []
-    if method == eng.AGGRESSIVE:
-        for t in sorted(best_by_char):
-            per_char = best_by_char[t]
-            if len(per_char) != len(task.parts):
-                continue
-            char_paths = {c: per_char[c][1] for c in sorted(per_char)}
-            value = 0.0
-            for char_id, weight in task.parts:
-                value += weight * per_char[char_id][0]
-            shortest = min(char_paths.values(), key=lambda p: (len(p), p))
-            candidates.append(Candidate(
-                node=t,
-                trust=value,
-                best_path=shortest,
-                char_paths=char_paths,
-                record=store.get(trustor, t, ("task", task.id), SERVICE),
-            ))
+def find_potential_trustees(
+    graph: SocialGraph,
+    store: TrustStore,
+    profiles: Mapping[int, AgentProfile],
+    request: DelegationRequest,
+    tasks: Mapping[int, Task],
+    evaluator: Optional[PathEvaluator] = None,
+) -> DiscoveryResult:
+    """Discover non-blocked potential trustees within max_hops of the trustor.
+
+    Relevance per method: traditional requires records on the exact task,
+    conservative records covering all target characteristics, aggressive
+    records covering any of them. The method picks the hop evaluator once:
+    `direct_tw`, `full_tw` or `subset_tw` of the evaluator. Candidates are
+    trustee-capable nodes whose method-specific transitivity value is not
+    blocked, in node order.
+    """
+    params = request.transitivity
+    method = params.method
+    task = request.task
+    trustor = request.trustor
+    ev = evaluator or PathEvaluator(store, tasks)
+    if method == eng.TRADITIONAL:
+        hop = ev.direct_tw
+    elif method == eng.CONSERVATIVE:
+        hop = ev.full_tw
     else:
-        for t in sorted(best_single):
-            value, path = best_single[t]
-            candidates.append(Candidate(
-                node=t,
-                trust=value,
-                best_path=path,
-                record=store.get(trustor, t, ("task", task.id), SERVICE),
-            ))
-    return DiscoveryResult(candidates=tuple(candidates), interrogated=frozenset(interrogated))
+        hop = ev.subset_tw
+    row = partial(ev.evidence_row, graph, profiles, method, task)
+
+    interrogated = _interrogate(row, trustor, params.max_hops)
+    best = _best_paths(row, hop, trustor, task, params)
+
+    if method != eng.AGGRESSIVE:
+        candidates = [Candidate(t, value, path) for t, (value, path) in sorted(best.items())]
+        return DiscoveryResult(tuple(candidates), interrogated)
+    candidates = []
+    for t in sorted(best):
+        per_char = best[t]
+        if len(per_char) != len(task.parts):
+            continue
+        char_paths = {c: per_char[c][1] for c in sorted(per_char)}
+        value = 0.0
+        for char_id, weight in task.parts:
+            value += weight * per_char[char_id][0]
+        shortest = min(char_paths.values(), key=lambda p: (len(p), p))
+        candidates.append(Candidate(t, value, shortest, char_paths))
+    return DiscoveryResult(tuple(candidates), interrogated)
 
 
 def sample_outcome(
@@ -454,23 +427,13 @@ def sample_outcome(
     )
 
 
-def _rank(candidates: Sequence[Candidate], strategy: str) -> list[Candidate]:
-    if strategy == eng.FULL_PROFIT:
-        def key(c: Candidate):
-            score = eng.net_profit(c.record) if c.record is not None else c.trust
-            return (-score, c.node)
-    else:
-        def key(c: Candidate):
-            return (-c.trust, c.node)
-    return sorted(candidates, key=key)
+def _rank(candidates: Sequence[Candidate]) -> list[Candidate]:
+    """Highest discovered trust first, ties to the lower node id.
 
-
-def _path_interiors(candidate: Candidate) -> list[int]:
-    paths = candidate.char_paths.values() if candidate.char_paths else [candidate.best_path]
-    interior = set()
-    for path in paths:
-        interior.update(path[1:-1])
-    return sorted(interior)
+    The protocol ranks by trust alone; the success_only and full_profit
+    strategies belong to the profit experiment (`trust_engine.strategy_score`).
+    """
+    return sorted(candidates, key=lambda c: (-c.trust, c.node))
 
 
 def run_delegation(
@@ -482,7 +445,6 @@ def run_delegation(
     request: DelegationRequest,
     rng,
     tasks: Mapping[int, Task],
-    discovery: Optional[DiscoveryResult] = None,
     evaluator: Optional[PathEvaluator] = None,
 ) -> DelegationTrace:
     """Run the full mutual-evaluation protocol for one request.
@@ -495,11 +457,11 @@ def run_delegation(
     coherent by invalidating every record pair this delegation writes.
     """
     task = request.task
-    disc = discovery if discovery is not None else find_potential_trustees(
-        graph, store, profiles, request, tasks, evaluator)
-    ranked = _rank(disc.candidates, request.strategy)
+    trustor = request.trustor
+    disc = find_potential_trustees(graph, store, profiles, request, tasks, evaluator)
+    ranked = _rank(disc.candidates)
     trace = DelegationTrace(
-        trustor=request.trustor,
+        trustor=trustor,
         task_id=task.id,
         ranked_candidates=[(c.node, c.trust) for c in ranked],
         rejections=[],
@@ -508,25 +470,9 @@ def run_delegation(
         nodes_interrogated=disc.nodes_interrogated,
     )
 
-    if request.allow_self:
-        self_key = (request.trustor, request.trustor, ("task", task.id), SERVICE)
-        self_record = store.get(*self_key)
-        if self_record is not None:
-            best_other = ranked[0].record if ranked else None
-            if eng.should_self_execute(self_record, best_other):
-                profile = profiles[request.trustor]
-                outcome = sample_outcome(profile, profile, task, env, (), rng)
-                store.put(*self_key, eng.update_estimates(self_record, outcome, request.update))
-                if evaluator is not None:
-                    evaluator.invalidate(request.trustor, request.trustor, structural=False)
-                trace.chosen = request.trustor
-                trace.outcome = outcome
-                trace.self_executed = True
-                return trace
-
     chosen: Optional[Candidate] = None
     for candidate in ranked:
-        accepted, rev = eng.reverse_evaluate(profiles[candidate.node], request.trustor, usage_log, task)
+        accepted, rev = eng.reverse_evaluate(profiles[candidate.node], trustor, usage_log)
         if accepted:
             chosen = candidate
             break
@@ -534,36 +480,29 @@ def run_delegation(
     if chosen is None:
         return trace
 
-    trustor_profile = profiles[request.trustor]
-    trustee_profile = profiles[chosen.node]
-    intermediates = _path_interiors(chosen)
-    outcome = sample_outcome(trustor_profile, trustee_profile, task, env, intermediates, rng)
-    usage_log.record(chosen.node, request.trustor, responsive=not outcome.abusive)
+    paths = chosen.char_paths.values() if chosen.char_paths else (chosen.best_path,)
+    intermediates = sorted({node for path in paths for node in path[1:-1]})
+    outcome = sample_outcome(profiles[trustor], profiles[chosen.node], task, env, intermediates, rng)
+    usage_log.record(chosen.node, trustor, responsive=not outcome.abusive)
 
-    update = eng.update_estimates_env if request.env_corrected else eng.update_estimates
-    svc_key = (request.trustor, chosen.node, ("task", task.id), SERVICE)
+    svc_key = (trustor, chosen.node, ("task", task.id), SERVICE)
     svc_record = store.get(*svc_key)
     created = svc_record is None
     svc_record = svc_record or initial_record(request.initial_estimates, SERVICE)
-    store.put(*svc_key, update(svc_record, outcome, request.update))
+    store.put(*svc_key, eng.update_estimates(svc_record, outcome, request.update))
     if evaluator is not None:
-        evaluator.invalidate(request.trustor, chosen.node, structural=created)
+        evaluator.invalidate(trustor, chosen.node, structural=created)
 
-    rec_pairs = set()
-    paths = chosen.char_paths.values() if chosen.char_paths else [chosen.best_path]
-    for path in paths:
-        for i in range(len(path) - 2):
-            rec_pairs.add((path[i], path[i + 1]))
+    rec_pairs = {(path[i], path[i + 1]) for path in paths for i in range(len(path) - 2)}
     for observer, subject in sorted(rec_pairs):
         key = (observer, subject, ("task", task.id), RECOMMENDATION)
         rec_record = store.get(*key)
         created = rec_record is None
         rec_record = rec_record or initial_record(request.initial_estimates, RECOMMENDATION)
-        store.put(*key, update(rec_record, outcome, request.update))
+        store.put(*key, eng.update_estimates(rec_record, outcome, request.update))
         if evaluator is not None:
             evaluator.invalidate(observer, subject, structural=created)
 
     trace.chosen = chosen.node
     trace.outcome = outcome
-    trace.char_paths = chosen.char_paths
     return trace

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -137,13 +138,16 @@ class TrustStore:
         self._by_pair.setdefault((observer, subject, kind), {})[context] = record
 
     def get(self, observer: int, subject: int, context: tuple[str, int], kind: str) -> Optional[TrustRecord]:
-        return self._by_pair.get((observer, subject, kind), {}).get(context)
+        bucket = self._by_pair.get((observer, subject, kind))
+        return None if bucket is None else bucket.get(context)
 
     def task_records(self, observer: int, subject: int, kind: str) -> list[tuple[int, TrustRecord]]:
         """All task-context records the observer holds about the subject, by task id."""
-        bucket = self._by_pair.get((observer, subject, kind), {})
+        bucket = self._by_pair.get((observer, subject, kind))
+        if not bucket:
+            return []
         out = [(ctx[1], rec) for ctx, rec in bucket.items() if ctx[0] == "task"]
-        out.sort(key=lambda pair: pair[0])
+        out.sort(key=itemgetter(0))
         return out
 
 
@@ -164,7 +168,6 @@ class AgentProfile:
     is_trustee: bool = False
     competence: Mapping[int, float] = field(default_factory=dict)
     integrity: float = 1.0
-    reverse_threshold: Mapping[int, float] = field(default_factory=dict)
     default_threshold: float = 0.0
     honest: bool = True
     gain: float = 1.0
@@ -177,14 +180,9 @@ class AgentProfile:
         _check_unit("default_threshold", self.default_threshold)
         for c, v in self.competence.items():
             _check_unit(f"competence[{c}]", v)
-        for t, v in self.reverse_threshold.items():
-            _check_unit(f"reverse_threshold[{t}]", v)
         _check_unit("gain", self.gain)
         _check_unit("damage", self.damage)
         _check_unit("cost", self.cost)
-
-    def threshold_for(self, task_id: int) -> float:
-        return self.reverse_threshold.get(task_id, self.default_threshold)
 
     def task_competence(self, task: Task) -> float:
         total = 0.0
@@ -267,6 +265,55 @@ class DelegationOutcome:
                 raise ValueError(f"env snapshot values must be in (0, 1], got {v}")
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+_UNIT = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_OPEN_UNIT = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+_FORGETTING = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_METHOD = ("traditional, conservative or aggressive",
+           lambda v: v in ("traditional", "conservative", "aggressive"))
+
+# Scenario field -> (type, minimum entries of a list field or None for a
+# scalar, allowed (description, test) or None). List entries are checked one
+# by one; a field whose default is None may be None; `tasks` has its own parser.
+_SCENARIO_RULES = {
+    "role_fraction": (float, None, _OPEN_UNIT),
+    "beta": (float, None, _FORGETTING),
+    "initial_estimates": (float, 0, _UNIT),
+    "theta_grid": (float, 1, _UNIT),
+    "char_counts": (int, 1, _AT_LEAST_1),
+    "methods": (str, 1, _METHOD),
+    "env_values": (float, 1, _OPEN_UNIT),
+    "characteristics": (str, 0, None),
+    "runs": (int, None, _AT_LEAST_1),
+    "preseed_uses": (int, None, _AT_LEAST_0),
+    "master_seed": (int, None, None),
+    "tasks": None,
+    **dict.fromkeys(("omega1", "omega2", "dishonest_fraction", "taint_penalty",
+                     "service_density", "rec_density"), (float, None, _UNIT)),
+    **dict.fromkeys(("max_hops", "mutuality_rounds", "inference_reps", "tasks_per_node",
+                     "profit_candidates", "profit_iterations", "attack_tasks",
+                     "env_epoch_length"), (int, None, _AT_LEAST_1)),
+    **dict.fromkeys(("cost_multiplier", "env_competence", "env_noise", "env_initial_s"),
+                    (float, None, None)),
+    **dict.fromkeys(("disjoint_roles", "use_features"), (bool, None, None)),
+}
+
+
+def _check_field(name: str, value, kind: type, allowed) -> None:
+    """Raise ScenarioError naming `name` unless `value` has the type and range."""
+    if isinstance(value, bool):
+        typed = kind is bool
+    else:
+        typed = isinstance(value, (int, float) if kind is float else kind)
+    if not typed:
+        raise ScenarioError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if allowed is not None and not allowed[1](value):
+        raise ScenarioError(f"{name} must be {allowed[0]}, got {value!r}")
+
+
 @dataclass
 class Scenario:
     """Tunable parameters for the five experiments, JSON-compatible.
@@ -323,48 +370,24 @@ class Scenario:
     env_initial_s: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.role_fraction <= 1.0:
-            raise ScenarioError(f"role_fraction must be in (0, 1], got {self.role_fraction}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ScenarioError(f"beta must be in [0, 1), got {self.beta}")
-        for name in ("omega1", "omega2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ScenarioError(f"{name} must be in [0, 1], got {v}")
-        if self.max_hops < 1:
-            raise ScenarioError("max_hops must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            rule = _SCENARIO_RULES[f.name]
+            if rule is None or (value is None and f.default is None):
+                continue
+            kind, min_entries, allowed = rule
+            if min_entries is None:
+                _check_field(f.name, value, kind, allowed)
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ScenarioError(f"{f.name} must be a list, got {value!r}")
+            if len(value) < min_entries:
+                raise ScenarioError(f"{f.name} must not be empty")
+            for i, entry in enumerate(value):
+                _check_field(f"{f.name}[{i}]", entry, kind, allowed)
+            setattr(self, f.name, tuple(value))
         if len(self.initial_estimates) != 4:
             raise ScenarioError("initial_estimates needs exactly four values")
-        for v in self.initial_estimates:
-            if not 0.0 <= v <= 1.0:
-                raise ScenarioError(f"initial estimates must be in [0, 1], got {v}")
-        for m in self.methods:
-            if m not in ("traditional", "conservative", "aggressive"):
-                raise ScenarioError(f"unknown transitivity method {m!r}")
-        if self.runs is not None and self.runs < 1:
-            raise ScenarioError("runs must be >= 1")
-        for name in ("mutuality_rounds", "inference_reps", "tasks_per_node", "profit_candidates",
-                     "profit_iterations", "attack_tasks", "env_epoch_length"):
-            if getattr(self, name) < 1:
-                raise ScenarioError(f"{name} must be >= 1")
-        if self.preseed_uses < 0:
-            raise ScenarioError("preseed_uses must be >= 0")
-        for name in ("service_density", "rec_density", "dishonest_fraction", "taint_penalty"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ScenarioError(f"{name} must be in [0, 1], got {v}")
-        for name in ("theta_grid", "char_counts", "methods", "env_values"):
-            if not getattr(self, name):
-                raise ScenarioError(f"{name} must not be empty")
-        for v in self.theta_grid:
-            if not 0.0 <= v <= 1.0:
-                raise ScenarioError(f"theta_grid values must be in [0, 1], got {v}")
-        for v in self.char_counts:
-            if v < 1:
-                raise ScenarioError(f"char_counts values must be >= 1, got {v}")
-        for v in self.env_values:
-            if not 0.0 < v <= 1.0:
-                raise ScenarioError(f"environment values must be in (0, 1], got {v}")
         try:
             self.tasks = tuple(
                 (int(tid), tuple((int(c), float(w)) for c, w in parts))
@@ -372,7 +395,6 @@ class Scenario:
             )
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad task definitions: {exc}") from exc
-        self.characteristics = tuple(str(name) for name in self.characteristics)
         self.task_objects()
 
     def task_objects(self) -> dict[int, Task]:

@@ -178,12 +178,13 @@ def _mutuality_unit(args):
 
     requests = successes = unavailable = uses = abusive = 0
     traces = []
+    round_requests = [
+        DelegationRequest(trustor=x, task=task, transitivity=params, update=update,
+                          initial_estimates=sc.initial_estimates)
+        for x in roles.trustors
+    ]
     for _ in range(sc.mutuality_rounds):
-        for x in roles.trustors:
-            request = DelegationRequest(
-                trustor=x, task=task, transitivity=params, update=update,
-                initial_estimates=sc.initial_estimates,
-            )
+        for request in round_requests:
             trace = run_delegation(graph, profiles, store, usage, env, request, rng_play, tasks,
                                    evaluator=evaluator)
             requests += 1

@@ -263,19 +263,18 @@ def reverse_trust(usage_log: UsageLog, trustee: int, trustor: int) -> float:
     return (responsive + 1) / (total + 2)
 
 
-def reverse_evaluate(
-    trustee: AgentProfile,
-    trustor: int,
-    usage_log: UsageLog,
-    task: Task,
-) -> tuple[bool, float]:
-    """Trustee-side gate: accept when the trustor's reverse trust meets the threshold."""
+def reverse_evaluate(trustee: AgentProfile, trustor: int, usage_log: UsageLog) -> tuple[bool, float]:
+    """Trustee-side gate: accept when the trustor's reverse trust meets `default_threshold`."""
     value = reverse_trust(usage_log, trustee.node, trustor)
-    return value >= trustee.threshold_for(task.id), value
+    return value >= trustee.default_threshold, value
 
 
 def strategy_score(record: TrustRecord, strategy: str) -> float:
-    """A record's selection score: `s_hat` for success_only, net profit for full_profit."""
+    """A record's selection score: `s_hat` for success_only, net profit for full_profit.
+
+    The strategies are the profit experiment's alone; the delegation
+    protocol ranks its candidates by discovered trust (`delegation._rank`).
+    """
     if strategy == SUCCESS_ONLY:
         return record.s_hat
     if strategy == FULL_PROFIT:
@@ -287,16 +286,11 @@ def select_trustee(scores: Sequence[float]) -> int:
     """Index of the highest score; ties go to the lower index.
 
     `scores` holds one `strategy_score` per candidate, indexed by
-    candidate. An empty sequence raises ValueError.
+    candidate; the profit experiment is its only caller. An empty sequence
+    raises ValueError.
     """
     if not scores:
         raise ValueError("select_trustee needs at least one score")
     # max keeps the first maximum, so the lower index wins ties
     return max(range(len(scores)), key=scores.__getitem__)
 
-
-def should_self_execute(self_record: TrustRecord, best_other: Optional[TrustRecord]) -> bool:
-    """Keep the task when no alternative strictly improves the expected profit."""
-    if best_other is None:
-        return True
-    return net_profit(self_record) >= net_profit(best_other)

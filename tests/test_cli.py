@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -105,6 +106,23 @@ class TestUsageErrors:
         assert "error:" in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize("scenario,field", [
+        ({"char_counts": [2.5]}, "char_counts"),
+        ({"max_hops": "3"}, "max_hops"),
+        ({"beta": None}, "beta"),
+    ], ids=["char_counts-float-entry", "max_hops-string", "beta-null"])
+    def test_wrong_type_rejected_naming_field(self, capsys, tmp_path, scenario, field):
+        graph = tmp_path / "path4.edges"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(scenario))
+        code, _, err = run_cli(capsys, "transitivity", "--graph", str(graph), "--scenario",
+                               str(scenario_path), "--runs", "1", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: {field}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 class TestExperimentRuns:
     def test_environment_outputs(self, capsys, tmp_path):
@@ -214,3 +232,36 @@ class TestExperimentRuns:
         assert code == 0
         assert (out_dir / "plot_inference.svg").exists()
         assert "wins=" in out
+
+
+class TestBytePins:
+    """Discovery and protocol changes must keep these outputs byte for byte."""
+
+    PINS = {
+        "mutuality": (
+            ["mutuality", "--runs", "1", "--theta", "0.3", "--trace"],
+            {
+                "metrics_mutuality.csv":
+                    "80c23d16b92e4dd55bf72afef4878266d2a26ec268c05ab015b6b81388ce5807",
+                "trace_mutuality.ndjson":
+                    "4b3f97fbecdf528dc1e50efb8956224858b677472f8dceed50ca486d14ec4306",
+            },
+        ),
+        "transitivity": (
+            ["transitivity", "--runs", "1", "--characteristics", "4"],
+            {
+                "metrics_transitivity.csv":
+                    "ec13273b692d149b76f4368e2bf408b89d2bb5926879c17f15458838fe6ec91a",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_outputs_match_pinned_sha256(self, capsys, tmp_path, name):
+        argv, pins = self.PINS[name]
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, *argv, "--graph", "facebook-like", "--seed", "1",
+                             "--jobs", "1", "--out", str(out_dir))
+        assert code == 0
+        for file_name, digest in pins.items():
+            assert hashlib.sha256((out_dir / file_name).read_bytes()).hexdigest() == digest, file_name

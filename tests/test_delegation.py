@@ -250,16 +250,6 @@ class TestRunDelegation:
         svc = store.get(0, 2, ("task", 0), SERVICE)
         assert svc is not None and svc.interaction_count == 1
 
-    def test_ranking_full_profit_uses_records(self):
-        graph, store, profiles, task, tasks = star_world()
-        store.put(0, 1, ("task", 0), SERVICE, TrustRecord(0.9, 0.1, 0.9, 0.1, 1, SERVICE))
-        store.put(0, 2, ("task", 0), SERVICE, TrustRecord(0.7, 0.8, 0.1, 0.1, 1, SERVICE))
-        store.put(0, 3, ("task", 0), SERVICE, TrustRecord(0.1, 0.1, 0.9, 0.9, 1, SERVICE))
-        req = request_for(task, strategy=eng.FULL_PROFIT)
-        trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
-                               req, random.Random(1), tasks)
-        assert trace.chosen == 2
-
     def test_environment_scales_success_probability(self):
         graph, store, profiles, task, tasks = star_world(trustee_count=1)
         env = Environment(default=0.25)
@@ -274,49 +264,6 @@ class TestRunDelegation:
             hits += trace.outcome.success
             assert trace.outcome.env_snapshot == (0.25, 0.25)
         assert abs(hits / 400 - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 400)
-
-    def test_env_corrected_update_path(self):
-        graph, store, profiles, task, tasks = star_world(trustee_count=1)
-        env = Environment(values={0: 0.5, 1: 0.5})
-        req = request_for(task, env_corrected=True,
-                          update=eng.UpdateParams.uniform(0.0))
-        trace = run_delegation(graph, profiles, store, UsageLog(), env,
-                               req, random.Random(1), tasks)
-        rec = store.get(0, 1, ("task", 0), SERVICE)
-        if trace.outcome.success:
-            assert rec.s_hat == 1.0
-        else:
-            assert rec.s_hat == 0.0
-
-    def test_self_execution_on_tie(self):
-        graph, store, profiles, task, tasks = star_world(trustee_count=1, s_hat=0.9)
-        store.put(0, 0, ("task", 0), SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1, SERVICE))
-        req = request_for(task, allow_self=True)
-        trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
-                               req, random.Random(1), tasks)
-        assert trace.self_executed
-        assert trace.chosen == 0
-
-    def test_self_execution_skipped_when_other_strictly_better(self):
-        graph, store, profiles, task, tasks = star_world(trustee_count=1, s_hat=0.9)
-        store.put(0, 0, ("task", 0), SERVICE, TrustRecord(0.1, 0.5, 0.5, 0.5, 1, SERVICE))
-        req = request_for(task, allow_self=True)
-        trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
-                               req, random.Random(1), tasks)
-        assert not trace.self_executed
-        assert trace.chosen == 1
-
-    def test_self_execution_when_no_candidates(self):
-        graph = make_graph(2, [(0, 1)])
-        task = make_task(0, [(0, 1.0)])
-        store = TrustStore()
-        store.put(0, 0, ("task", 0), SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1, SERVICE))
-        profiles = {0: AgentProfile(node=0, is_trustor=True, competence={0: 1.0}),
-                    1: AgentProfile(node=1)}
-        req = request_for(task, allow_self=True)
-        trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
-                               req, random.Random(1), {0: task})
-        assert trace.self_executed
 
 
 class TestEvaluatorCoherence:

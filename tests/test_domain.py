@@ -123,9 +123,9 @@ class TestAgentProfile:
             prof.task_competence(make_task(0, [(1, 1.0)]))
 
     def test_threshold_lookup(self):
-        prof = AgentProfile(node=0, reverse_threshold={5: 0.7}, default_threshold=0.3)
-        assert prof.threshold_for(5) == 0.7
-        assert prof.threshold_for(6) == 0.3
+        assert AgentProfile(node=0, default_threshold=0.3).default_threshold == 0.3
+        with pytest.raises(ValueError, match="default_threshold"):
+            AgentProfile(node=0, default_threshold=1.2)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
@@ -224,6 +224,25 @@ class TestScenario:
     def test_rejected_before_compute(self, overrides):
         with pytest.raises(ScenarioError, match=next(iter(overrides))):
             Scenario(**overrides)
+
+    @pytest.mark.parametrize("data,message", [
+        ({"char_counts": [2.5]}, r"char_counts\[0\] must be an integer"),
+        ({"max_hops": "3"}, "max_hops must be an integer"),
+        ({"beta": None}, "beta must be a number"),
+        ({"role_fraction": "0.4"}, "role_fraction must be a number"),
+        ({"theta_grid": [0.0, "0.3"]}, r"theta_grid\[1\] must be a number"),
+        ({"use_features": 1}, "use_features must be true or false"),
+        ({"preseed_uses": True}, "preseed_uses must be an integer"),
+        ({"env_values": 0.5}, "env_values must be a list"),
+    ], ids=["char_counts-float-entry", "max_hops-string", "beta-null", "role_fraction-string",
+            "theta_grid-string-entry", "use_features-int", "preseed_uses-bool", "env_values-scalar"])
+    def test_wrong_type_names_field(self, data, message):
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_dict(data)
+
+    def test_optional_and_integral_values_accepted(self):
+        sc = Scenario.from_dict({"runs": None, "beta": 0, "char_counts": [4, 5]})
+        assert sc.runs is None and sc.beta == 0 and sc.char_counts == (4, 5)
 
     def test_replace_round_trip(self):
         sc = Scenario().replace(beta=0.2)

@@ -302,13 +302,13 @@ class TestReverseEvaluation:
         log = UsageLog()
         log.seed(1, 2, 0, 50)
         trustee = AgentProfile(node=1, is_trustee=True, default_threshold=0.0)
-        accepted, _ = eng.reverse_evaluate(trustee, 2, log, make_task(0, [(0, 1.0)]))
+        accepted, _ = eng.reverse_evaluate(trustee, 2, log)
         assert accepted
 
     def test_stranger_prior_is_half(self):
         log = UsageLog()
         trustee = AgentProfile(node=1, is_trustee=True, default_threshold=0.3)
-        accepted, value = eng.reverse_evaluate(trustee, 2, log, make_task(0, [(0, 1.0)]))
+        accepted, value = eng.reverse_evaluate(trustee, 2, log)
         assert value == 0.5
         assert accepted
 
@@ -316,16 +316,16 @@ class TestReverseEvaluation:
         log = UsageLog()
         log.seed(1, 2, 0, 8)
         trustee = AgentProfile(node=1, is_trustee=True, default_threshold=0.3)
-        accepted, value = eng.reverse_evaluate(trustee, 2, log, make_task(0, [(0, 1.0)]))
+        accepted, value = eng.reverse_evaluate(trustee, 2, log)
         assert abs(value - 0.1) < 1e-12
         assert not accepted
 
-    def test_per_task_threshold(self):
-        log = UsageLog()
-        trustee = AgentProfile(node=1, is_trustee=True,
-                               reverse_threshold={7: 0.9}, default_threshold=0.0)
-        accepted, _ = eng.reverse_evaluate(trustee, 2, log, make_task(7, [(0, 1.0)]))
-        assert not accepted
+    def test_threshold_boundary_inclusive(self):
+        # a stranger's reverse trust is exactly 0.5
+        for threshold, expected in ((0.5, True), (0.51, False)):
+            trustee = AgentProfile(node=1, is_trustee=True, default_threshold=threshold)
+            accepted, _ = eng.reverse_evaluate(trustee, 2, UsageLog())
+            assert accepted is expected
 
 
 class TestSelectTrustee:
@@ -364,17 +364,3 @@ class TestSelectTrustee:
         scaled = [eng.strategy_score(record(s, g * k, d * k, c * k), eng.FULL_PROFIT)
                   for s, g, d, c in specs]
         assert eng.select_trustee(base) == eng.select_trustee(scaled)
-
-
-class TestShouldSelfExecute:
-    def test_identical_records_keep_task(self):
-        rec = record(0.5, 0.5, 0.5, 0.5)
-        assert eng.should_self_execute(rec, rec)
-
-    def test_better_other_delegates(self):
-        selfish = record(0.5, 0.5, 0.5, 0.2)
-        other = record(0.9, 0.9, 0.1, 0.0)
-        assert not eng.should_self_execute(selfish, other)
-
-    def test_no_alternative_keeps_task(self):
-        assert eng.should_self_execute(record(0.1, 0.1, 0.9, 0.9), None)
