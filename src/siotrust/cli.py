@@ -20,12 +20,20 @@ from .domain import Scenario, ScenarioError, load_scenario
 from .experiments import (
     AGGREGATE,
     EXPERIMENTS,
+    REGIMES,
+    SELECTION,
+    STRATEGIES,
+    VARIANT_ATTACK,
+    VARIANT_RANDOM,
     ExperimentSpec,
     MetricsRow,
+    char_grid,
+    label,
     run_experiment_rows,
+    series_metric,
 )
 from .graph import GraphFormatError, compute_stats, load_edge_list, load_features, stats_csv
-from .report import Series, series_from_rows, write_metrics, write_plot, write_summary, write_trace_log
+from .report import Series, write_metrics, write_plot, write_summary, write_trace_log
 
 BUILTIN_GRAPHS = {
     "synthetic-50": "synthetic_50.edges",
@@ -110,6 +118,12 @@ def _aggregates(rows) -> dict:
     return out
 
 
+def _series(agg: dict, param: str, name: str, length: int, legend: str) -> Series:
+    """The aggregate series `name[000]`, `name[001]`, ... of one param."""
+    return Series(legend, tuple(float(i) for i in range(length)),
+                  tuple(agg[param][series_metric(name, i)] for i in range(length)))
+
+
 def _plots_for(which: str, rows: list[MetricsRow], scenario: Scenario) -> list[tuple]:
     """(filename stem, title, x label, y label, series list) per plot."""
     agg = _aggregates(rows)
@@ -117,24 +131,23 @@ def _plots_for(which: str, rows: list[MetricsRow], scenario: Scenario) -> list[t
         thetas = scenario.theta_grid
         series = [
             Series(metric, tuple(float(t) for t in thetas),
-                   tuple(agg[f"theta={t:g}"][metric] for t in thetas))
+                   tuple(agg[label(theta=t)][metric] for t in thetas))
             for metric in ("success_rate", "unavailable_rate", "abuse_rate")
         ]
         return [("mutuality", "Delegation rates vs reverse threshold", "theta", "rate", series)]
     if which == "inference":
-        reps = sorted(row.run for row in rows if isinstance(row.run, int))
-        reps = sorted(set(reps))
+        reps = sorted({row.run for row in rows if row.run != AGGREGATE})
         series = []
         for metric, name in (("with_inference", "with inference"),
                              ("without_inference", "without inference")):
             values = {row.run: row.value for row in rows
-                      if isinstance(row.run, int) and row.metric == metric}
+                      if row.run != AGGREGATE and row.metric == metric}
             series.append(Series(name, tuple(float(r) for r in reps),
                                  tuple(values[r] for r in reps)))
         return [("inference", "Honest-trustee selection per repetition", "repetition",
                  "honest fraction", series)]
     if which == "transitivity":
-        counts = sorted({int(p.split(",")[0].split("=")[1]) for p in agg})
+        counts = sorted(char_grid(scenario))
         plots = []
         for metric, ylabel, suffix in (
             ("success_rate", "success rate", ""),
@@ -143,62 +156,55 @@ def _plots_for(which: str, rows: list[MetricsRow], scenario: Scenario) -> list[t
         ):
             series = [
                 Series(method, tuple(float(c) for c in counts),
-                       tuple(agg[f"chars={c},method={method}"][metric] for c in counts))
+                       tuple(agg[label(chars=c, method=method)][metric] for c in counts))
                 for method in scenario.methods
             ]
             plots.append((f"transitivity{suffix}", f"Transitivity methods: {ylabel}",
                           "characteristic count", ylabel, series))
         return plots
     if which == "profit":
-        plots = []
-        series = [
-            series_from_rows(rows, f"variant=random,strategy={s}", "net_profit", s)
-            for s in ("success_only", "full_profit")
+        random_series = [
+            _series(agg, label(variant=VARIANT_RANDOM, strategy=s), "net_profit",
+                    scenario.profit_iterations, s)
+            for s in STRATEGIES
         ]
-        plots.append(("profit", "Net profit per iteration", "iteration", "net profit", series))
-        attack = [
-            series_from_rows(rows, f"variant=attack,strategy={s}", "cost", s)
-            for s in ("success_only", "full_profit")
+        attack_series = [
+            _series(agg, label(variant=VARIANT_ATTACK, strategy=s), "cost",
+                    scenario.attack_tasks, s)
+            for s in STRATEGIES
         ]
-        plots.append(("profit_attack", "Realized cost under cost inflation", "task", "cost", attack))
-        return plots
+        return [("profit", "Net profit per iteration", "iteration", "net profit", random_series),
+                ("profit_attack", "Realized cost under cost inflation", "task", "cost",
+                 attack_series)]
     if which == "environment":
-        series = [
-            series_from_rows(rows, f"regime={regime}", "s_hat", regime)
-            for regime in ("baseline", "uncorrected", "corrected")
-        ]
+        length = len(scenario.env_values) * scenario.env_epoch_length
+        series = [_series(agg, label(regime=r), "s_hat", length, r) for r in REGIMES]
         return [("environment", "Expected success rate through environment epochs",
                  "iteration", "expected success rate", series)]
     return []
 
 
-def _headline(which: str, rows) -> str:
+def _headline(which: str, rows, scenario: Scenario) -> str:
     agg = _aggregates(rows)
-    try:
-        if which == "mutuality":
-            pieces = [f"abuse[{p.split('=')[1]}]={m['abuse_rate']:.3f}"
-                      for p, m in sorted(agg.items())]
-            return " ".join(pieces)
-        if which == "inference":
-            m = agg["selection"]
-            return (f"wins={m['wins']:.0f}/{m['reps']:.0f} "
-                    f"improvement={m['improvement_pp']:.1f}pp")
-        if which == "transitivity":
-            first = sorted(agg)[0].split(",")[0]
-            trad = agg[f"{first},method=traditional"]["success_rate"]
-            aggr = agg[f"{first},method=aggressive"]["success_rate"]
-            return f"success {first}: traditional={trad:.3f} aggressive={aggr:.3f}"
-        if which == "profit":
-            keys = [k for k in agg if k.startswith("variant=random")]
-            last = sorted(m for m in agg[keys[0]] if not m.endswith("_std"))[-1]
-            vals = [f"{k.split('strategy=')[1]}={agg[k][last]:.3f}" for k in sorted(keys)]
-            return f"final net profit: {' '.join(vals)}"
-        if which == "environment":
-            last = sorted(m for m in agg["regime=corrected"] if not m.endswith("_std"))[-1]
-            return " ".join(f"{r}={agg[f'regime={r}'][last]:.3f}"
-                            for r in ("baseline", "uncorrected", "corrected"))
-    except (KeyError, IndexError):
-        pass
+    if which == "mutuality":
+        return " ".join(f"abuse[{t:g}]={agg[label(theta=t)]['abuse_rate']:.3f}"
+                        for t in scenario.theta_grid)
+    if which == "inference":
+        m = agg[SELECTION]
+        return f"wins={m['wins']:.0f}/{m['reps']:.0f} improvement={m['improvement_pp']:.1f}pp"
+    if which == "transitivity":
+        count = char_grid(scenario)[0]
+        rates = " ".join(f"{method}={agg[label(chars=count, method=method)]['success_rate']:.3f}"
+                         for method in scenario.methods)
+        return f"success chars={count}: {rates}"
+    if which == "profit":
+        last = series_metric("net_profit", scenario.profit_iterations - 1)
+        finals = " ".join(f"{s}={agg[label(variant=VARIANT_RANDOM, strategy=s)][last]:.3f}"
+                          for s in STRATEGIES)
+        return f"final net profit: {finals}"
+    if which == "environment":
+        last = series_metric("s_hat", len(scenario.env_values) * scenario.env_epoch_length - 1)
+        return " ".join(f"{r}={agg[label(regime=r)][last]:.3f}" for r in REGIMES)
     return ""
 
 
@@ -235,7 +241,7 @@ def _run_experiments(names, args) -> int:
             "plots": plot_files,
             "aggregates": _aggregates(rows),
         }
-        line = _headline(which, rows)
+        line = _headline(which, rows, scenario)
         print(f"{which}: runs={spec.effective_runs} {line} -> {metrics_path} ({elapsed:.1f}s)")
     write_summary(summary, out_dir / "summary.json")
     return 0

@@ -292,14 +292,19 @@ _SCENARIO_RULES = {
     "master_seed": (int, None, None),
     "tasks": None,
     **dict.fromkeys(("omega1", "omega2", "dishonest_fraction", "taint_penalty",
-                     "service_density", "rec_density"), (float, None, _UNIT)),
+                     "service_density", "rec_density", "env_competence", "env_initial_s"),
+                    (float, None, _UNIT)),
     **dict.fromkeys(("max_hops", "mutuality_rounds", "inference_reps", "tasks_per_node",
                      "profit_candidates", "profit_iterations", "attack_tasks",
                      "env_epoch_length"), (int, None, _AT_LEAST_1)),
-    **dict.fromkeys(("cost_multiplier", "env_competence", "env_noise", "env_initial_s"),
-                    (float, None, None)),
+    **dict.fromkeys(("cost_multiplier", "env_noise"), (float, None, _AT_LEAST_0)),
     **dict.fromkeys(("disjoint_roles", "use_features"), (bool, None, None)),
 }
+
+# Grid fields whose entries each become one result label, so two entries
+# with the same key would write their rows twice. `experiments.label`
+# prints a theta with `:g`, so thetas that print the same are one label.
+_DISTINCT_KEYS = {"theta_grid": "{:g}".format, "char_counts": int, "methods": str}
 
 
 def _check_field(name: str, value, kind: type, allowed) -> None:
@@ -386,6 +391,11 @@ class Scenario:
             for i, entry in enumerate(value):
                 _check_field(f"{f.name}[{i}]", entry, kind, allowed)
             setattr(self, f.name, tuple(value))
+        for name, key in _DISTINCT_KEYS.items():
+            keys = [key(v) for v in getattr(self, name)]
+            for i, k in enumerate(keys):
+                if k in keys[:i]:
+                    raise ScenarioError(f"{name}[{i}] repeats {k}")
         if len(self.initial_estimates) != 4:
             raise ScenarioError("initial_estimates needs exactly four values")
         try:

@@ -14,7 +14,7 @@ import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import trust_engine as eng
 from .delegation import (
@@ -110,18 +110,66 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _aggregate_rows(
+def label(**parts) -> str:
+    """A row's param label, such as `chars=4,method=aggressive`; floats print as `:g`."""
+    return ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                    for k, v in parts.items())
+
+
+def series_metric(name: str, i: int) -> str:
+    """The metric name of step `i` of a series, such as `s_hat[007]`."""
+    return f"{name}[{i:03d}]"
+
+
+def char_grid(scenario: Scenario) -> tuple[int, ...]:
+    """The transitivity characteristic counts.
+
+    An explicit task pool is a single grid point, labelled by its alphabet size.
+    """
+    if scenario.tasks:
+        return (len({c for _, parts in scenario.tasks for c, _ in parts}),)
+    return scenario.char_counts
+
+
+def _mean_std(experiment: str, param: str, metric: str, values) -> tuple[MetricsRow, MetricsRow]:
+    return (MetricsRow(experiment, param, AGGREGATE, metric, statistics.fmean(values)),
+            MetricsRow(experiment, param, AGGREGATE, metric + "_std", statistics.pstdev(values)))
+
+
+def _drive(
     experiment: str,
-    param: str,
-    per_run: Sequence[Mapping[str, float]],
+    worker: Callable,
+    units: list,
+    jobs: int,
+    trace_sink: Optional[list] = None,
 ) -> list[MetricsRow]:
-    """Mean plus population-std rows over runs, one pair per metric."""
-    rows = []
-    metrics = sorted(per_run[0])
-    for metric in metrics:
-        values = [run[metric] for run in per_run]
-        rows.append(MetricsRow(experiment, param, AGGREGATE, metric, statistics.fmean(values)))
-        rows.append(MetricsRow(experiment, param, AGGREGATE, metric + "_std", statistics.pstdev(values)))
+    """Run the units and turn their results into metric rows.
+
+    Each unit returns (entries, traces); an entry is (label, run, metrics,
+    series). A scalar metric gets one row per run, plus a mean and a `_std`
+    (population std) row over the runs of its label. A series, one value per
+    step, gets only that aggregate pair at every step, named `name[iii]`.
+    Traces extend `trace_sink` in unit order.
+    """
+    rows: list[MetricsRow] = []
+    scalars: dict[str, dict[str, list[float]]] = {}
+    series: dict[tuple[str, str], list[Sequence[float]]] = {}
+    for entries, traces in _map_units(worker, units, jobs):
+        for param, run, metrics, curves in entries:
+            by_metric = scalars.setdefault(param, {})
+            for metric in sorted(metrics):
+                rows.append(MetricsRow(experiment, param, run, metric, metrics[metric]))
+                by_metric.setdefault(metric, []).append(metrics[metric])
+            for name, values in curves.items():
+                series.setdefault((param, name), []).append(values)
+        if trace_sink is not None:
+            trace_sink.extend(traces)
+    for param, by_metric in scalars.items():
+        for metric, values in by_metric.items():
+            rows += _mean_std(experiment, param, metric, values)
+    for (param, name), runs in series.items():
+        for i, values in enumerate(zip(*runs)):
+            rows += _mean_std(experiment, param, series_metric(name, i), values)
     return rows
 
 
@@ -207,7 +255,7 @@ def _mutuality_unit(args):
         "uses": float(uses),
         "requests": float(requests),
     }
-    return theta, run_idx, metrics, traces
+    return [(label(theta=theta), run_idx, metrics, {})], traces
 
 
 def exp_mutuality(
@@ -224,32 +272,19 @@ def exp_mutuality(
     trustees gate requests on the smoothed responsive-use history at each
     theta in the grid. World state is shared across theta points per run.
     """
-    want_traces = trace_sink is not None
     units = [
-        (graph, scenario, theta, run, master_seed, want_traces)
+        (graph, scenario, theta, run, master_seed, trace_sink is not None)
         for theta in scenario.theta_grid
         for run in range(runs)
     ]
-    results = _map_units(_mutuality_unit, units, jobs)
-
-    rows: list[MetricsRow] = []
-    by_theta: dict[float, list[Mapping[str, float]]] = {t: [] for t in scenario.theta_grid}
-    for theta, run_idx, metrics, traces in results:
-        param = f"theta={theta:g}"
-        for metric in sorted(metrics):
-            rows.append(MetricsRow("mutuality", param, run_idx, metric, metrics[metric]))
-        by_theta[theta].append(metrics)
-        if want_traces:
-            trace_sink.extend(traces)
-    for theta in scenario.theta_grid:
-        rows.extend(_aggregate_rows("mutuality", f"theta={theta:g}", by_theta[theta]))
-    return rows
+    return _drive("mutuality", _mutuality_unit, units, jobs, trace_sink)
 
 
 # ---------------------------------------------------------------------------
 # Inference over characteristics: honest-trustee selection with and without it
 # ---------------------------------------------------------------------------
 
+SELECTION = "selection"
 TAINTED_TASK = 1
 CLEAN_TASK = 2
 TARGET_TASK = 3
@@ -312,15 +347,10 @@ def _inference_unit(args):
         if blind not in dishonest:
             without_honest += 1
 
-    if participants == 0:
-        return rep, {"with_inference": 0.0, "without_inference": 0.0, "improvement_pp": 0.0}
-    w = with_honest / participants
-    wo = without_honest / participants
-    return rep, {
-        "with_inference": w,
-        "without_inference": wo,
-        "improvement_pp": 100.0 * (w - wo),
-    }
+    w = with_honest / participants if participants else 0.0
+    wo = without_honest / participants if participants else 0.0
+    metrics = {"with_inference": w, "without_inference": wo, "improvement_pp": 100.0 * (w - wo)}
+    return [(SELECTION, rep, metrics, {})], []
 
 
 def exp_inference(
@@ -337,20 +367,14 @@ def exp_inference(
     the no-inference baseline picks blindly among candidates.
     """
     units = [(graph, scenario, rep, master_seed) for rep in range(runs)]
-    results = _map_units(_inference_unit, units, jobs)
-
-    rows: list[MetricsRow] = []
-    per_rep = []
-    wins = 0
-    for rep, metrics in results:
-        per_rep.append(metrics)
-        if metrics["with_inference"] > metrics["without_inference"]:
-            wins += 1
-        for metric in sorted(metrics):
-            rows.append(MetricsRow("inference", "selection", rep, metric, metrics[metric]))
-    rows.extend(_aggregate_rows("inference", "selection", per_rep))
-    rows.append(MetricsRow("inference", "selection", AGGREGATE, "wins", float(wins)))
-    rows.append(MetricsRow("inference", "selection", AGGREGATE, "reps", float(runs)))
+    rows = _drive("inference", _inference_unit, units, jobs)
+    per_rep: dict[int, dict[str, float]] = {}
+    for row in rows:
+        if row.run != AGGREGATE:
+            per_rep.setdefault(row.run, {})[row.metric] = row.value
+    wins = sum(m["with_inference"] > m["without_inference"] for m in per_rep.values())
+    rows.append(MetricsRow("inference", SELECTION, AGGREGATE, "wins", float(wins)))
+    rows.append(MetricsRow("inference", SELECTION, AGGREGATE, "reps", float(runs)))
     return rows
 
 
@@ -443,7 +467,7 @@ def _transitivity_unit(args):
     ]
 
     evaluator = PathEvaluator(store, tasks)
-    out = {}
+    entries = []
     for method in sc.methods:
         params = eng.TransitivityParams(sc.omega1, sc.omega2, sc.max_hops, method)
         successes = unavailable = 0
@@ -460,13 +484,14 @@ def _transitivity_unit(args):
             if u_success < profiles[chosen.node].task_competence(target):
                 successes += 1
         n_req = len(requests)
-        out[method] = {
+        metrics = {
             "success_rate": successes / n_req,
             "unavailable_rate": unavailable / n_req,
             "mean_candidates": candidate_total / n_req,
             "mean_interrogated": interrogated_total / n_req,
         }
-    return char_count, run_idx, out
+        entries.append((label(chars=char_count, method=method), run_idx, metrics, {}))
+    return entries, []
 
 
 def exp_transitivity(
@@ -483,33 +508,12 @@ def exp_transitivity(
     then requests one random task per run. The three methods evaluate the
     identical world, including a common success draw per request.
     """
-    if scenario.tasks:
-        # explicit task pool: a single grid point labeled by its alphabet size
-        counts = (len({c for _, parts in scenario.tasks for c, _ in parts}),)
-    else:
-        counts = scenario.char_counts
     units = [
         (graph, scenario, char_count, run, master_seed)
-        for char_count in counts
+        for char_count in char_grid(scenario)
         for run in range(runs)
     ]
-    results = _map_units(_transitivity_unit, units, jobs)
-
-    rows: list[MetricsRow] = []
-    grouped: dict[tuple[int, str], list[Mapping[str, float]]] = {}
-    for char_count, run_idx, out in results:
-        for method, metrics in out.items():
-            param = f"chars={char_count},method={method}"
-            for metric in sorted(metrics):
-                rows.append(MetricsRow("transitivity", param, run_idx, metric, metrics[metric]))
-            grouped.setdefault((char_count, method), []).append(metrics)
-    for char_count in counts:
-        for method in scenario.methods:
-            key = (char_count, method)
-            if key in grouped:
-                rows.extend(_aggregate_rows(
-                    "transitivity", f"chars={char_count},method={method}", grouped[key]))
-    return rows
+    return _drive("transitivity", _transitivity_unit, units, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +522,7 @@ def exp_transitivity(
 
 VARIANT_RANDOM = "random"
 VARIANT_ATTACK = "attack"
+STRATEGIES = (eng.SUCCESS_ONLY, eng.FULL_PROFIT)
 
 
 def _profit_unit(args):
@@ -552,24 +557,32 @@ def _profit_unit(args):
     trustor = AgentProfile(node=count, is_trustor=True, integrity=1.0)
     update = eng.UpdateParams.uniform(sc.beta)
 
-    out = {}
-    for strategy in (eng.SUCCESS_ONLY, eng.FULL_PROFIT):
+    entries = []
+    for strategy in STRATEGIES:
         records = [initial_record(sc.initial_estimates, SERVICE)] * count
         scores = [eng.strategy_score(rec, strategy) for rec in records]
         # common random numbers: both strategies face the identical draw
         # sequence, so their curves differ only through candidate choice
         rng_play = random.Random(derive_seed(master, "profit-play", variant, run_idx))
-        profits = []
-        costs = []
+        values = []
         for _ in range(iterations):
             node = eng.select_trustee(scores)
             outcome = sample_outcome(trustor, profiles[node], task, env, (), rng_play)
             records[node] = eng.update_estimates(records[node], outcome, update)
             scores[node] = eng.strategy_score(records[node], strategy)
-            profits.append(outcome.gain - outcome.damage - outcome.cost)
-            costs.append(outcome.cost)
-        out[strategy] = {"profits": profits, "costs": costs}
-    return variant, run_idx, out
+            values.append(outcome.gain - outcome.damage - outcome.cost
+                          if variant == VARIANT_RANDOM else outcome.cost)
+        param = label(variant=variant, strategy=strategy)
+        if variant == VARIANT_RANDOM:
+            entries.append((param, run_idx, {}, {"net_profit": values}))
+            continue
+        windows = {}
+        if len(values) >= 50:
+            # realized cost early (tasks 1-10) vs late (tasks 40-50)
+            windows = {"cost_tasks_1_10": statistics.fmean(values[0:10]),
+                       "cost_tasks_40_50": statistics.fmean(values[39:50])}
+        entries.append((param, run_idx, windows, {"cost": values}))
+    return entries, []
 
 
 def exp_profit(
@@ -590,41 +603,7 @@ def exp_profit(
         for variant in (VARIANT_RANDOM, VARIANT_ATTACK)
         for run in range(runs)
     ]
-    results = _map_units(_profit_unit, units, jobs)
-
-    series: dict[tuple[str, str, str], list[list[float]]] = {}
-    rows: list[MetricsRow] = []
-    window_runs: dict[str, list[dict[str, float]]] = {}
-    for variant, run_idx, out in results:
-        for strategy, data in out.items():
-            metric = "net_profit" if variant == VARIANT_RANDOM else "cost"
-            key = (variant, strategy, metric)
-            values = data["profits"] if metric == "net_profit" else data["costs"]
-            series.setdefault(key, []).append(values)
-            if variant == VARIANT_ATTACK and len(values) >= 50:
-                # realized cost early (tasks 1-10) vs late (tasks 40-50)
-                windows = {
-                    "cost_tasks_1_10": statistics.fmean(values[0:10]),
-                    "cost_tasks_40_50": statistics.fmean(values[39:50]),
-                }
-                param = f"variant={variant},strategy={strategy}"
-                for name in sorted(windows):
-                    rows.append(MetricsRow("profit", param, run_idx, name, windows[name]))
-                window_runs.setdefault(param, []).append(windows)
-
-    for param in sorted(window_runs):
-        rows.extend(_aggregate_rows("profit", param, window_runs[param]))
-    for (variant, strategy, metric) in sorted(series):
-        param = f"variant={variant},strategy={strategy}"
-        runs_data = series[(variant, strategy, metric)]
-        length = len(runs_data[0])
-        for i in range(length):
-            values = [run_values[i] for run_values in runs_data]
-            rows.append(MetricsRow("profit", param, AGGREGATE, f"{metric}[{i:03d}]",
-                                   statistics.fmean(values)))
-            rows.append(MetricsRow("profit", param, AGGREGATE, f"{metric}[{i:03d}]_std",
-                                   statistics.pstdev(values)))
-    return rows
+    return _drive("profit", _profit_unit, units, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +631,8 @@ def _environment_unit(args):
                 s_hat["corrected"], eng.correct_realized(perf_env, value), beta)
             for regime in REGIMES:
                 series[regime].append(s_hat[regime])
-    return run_idx, series
+    return [(label(regime=regime), run_idx, {}, {"s_hat": series[regime]})
+            for regime in REGIMES], []
 
 
 def exp_environment(
@@ -670,19 +650,7 @@ def exp_environment(
     that divides out the worst environment.
     """
     units = [(scenario, run, master_seed) for run in range(runs)]
-    results = _map_units(_environment_unit, units, jobs)
-
-    total = len(scenario.env_values) * scenario.env_epoch_length
-    rows: list[MetricsRow] = []
-    for regime in REGIMES:
-        param = f"regime={regime}"
-        for i in range(total):
-            values = [series[regime][i] for _, series in results]
-            rows.append(MetricsRow("environment", param, AGGREGATE, f"s_hat[{i:03d}]",
-                                   statistics.fmean(values)))
-            rows.append(MetricsRow("environment", param, AGGREGATE, f"s_hat[{i:03d}]_std",
-                                   statistics.pstdev(values)))
-    return rows
+    return _drive("environment", _environment_unit, units, jobs)
 
 
 # ---------------------------------------------------------------------------

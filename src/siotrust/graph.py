@@ -2,7 +2,7 @@
 
 Edge lists follow the SNAP convention: one "u v" pair per line, lines
 starting with `#` ignored. Node ids are remapped to a dense 0..N-1 range on
-load; the original ids are retained for reporting and serialization.
+load; the original ids are retained, because feature files refer to them.
 Self-loops are dropped and duplicate edges collapse to one undirected edge.
 """
 
@@ -50,12 +50,6 @@ class SocialGraph:
         nbrs = self.adjacency[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        for u in self.nodes():
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
 
 
 @dataclass(frozen=True)
@@ -136,14 +130,6 @@ def load_edge_list(source) -> SocialGraph:
     if not pairs:
         raise GraphFormatError("empty edge list")
     return build_graph(pairs)
-
-
-def serialize_edge_list(graph: SocialGraph) -> str:
-    """Emit the graph as edge-list text using original node ids."""
-    lines = []
-    for u, v in graph.edges():
-        lines.append(f"{graph.original_ids[u]} {graph.original_ids[v]}")
-    return "\n".join(lines) + "\n"
 
 
 def load_features(source, graph: SocialGraph) -> SocialGraph:

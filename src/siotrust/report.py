@@ -8,16 +8,13 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .experiments import AGGREGATE, MetricsRow
 
 METRICS_HEADER = "experiment,param,run,metric,value"
-
-_SERIES_METRIC = re.compile(r"^(?P<name>\w+)\[(?P<index>\d+)\]$")
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf")
 
@@ -61,25 +58,6 @@ def write_metrics(rows: Sequence[MetricsRow], path) -> None:
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
-def read_metrics(path) -> list[MetricsRow]:
-    """Parse a metrics CSV back into rows (run indices become ints)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != METRICS_HEADER:
-        raise ValueError(f"{path}: missing metrics header")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        # params may hold commas ("chars=4,method=traditional"); the other
-        # fields never do
-        experiment, rest = line.split(",", 1)
-        param, run, metric, value = rest.rsplit(",", 3)
-        run_field: object = int(run) if run.isdigit() else run
-        rows.append(MetricsRow(experiment, param, run_field, metric, float(value)))
-    return rows
-
-
 @dataclass(frozen=True)
 class Series:
     """One named polyline for a plot."""
@@ -87,30 +65,6 @@ class Series:
     name: str
     xs: tuple[float, ...]
     ys: tuple[float, ...]
-
-
-def series_from_rows(
-    rows: Sequence[MetricsRow],
-    param: str,
-    metric: str,
-    name: Optional[str] = None,
-) -> Series:
-    """Collect an aggregate `metric[index]` series for one param into a Series."""
-    points = []
-    for row in rows:
-        if row.param != param or row.run != AGGREGATE:
-            continue
-        match = _SERIES_METRIC.match(row.metric)
-        if match and match.group("name") == metric:
-            points.append((int(match.group("index")), row.value))
-    points.sort()
-    if not points:
-        raise ValueError(f"no aggregate series {metric!r} for param {param!r}")
-    return Series(
-        name=name or param,
-        xs=tuple(float(i) for i, _ in points),
-        ys=tuple(v for _, v in points),
-    )
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:

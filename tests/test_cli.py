@@ -124,6 +124,33 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,scenario,field", [
+        ("profit", {"cost_multiplier": -1}, "cost_multiplier"),
+        ("environment", {"env_initial_s": 5}, "env_initial_s"),
+    ], ids=["profit-negative-cost-multiplier", "environment-initial-s-above-1"])
+    def test_out_of_range_rejected_naming_field(self, capsys, tmp_path, command, scenario,
+                                                field):
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps(scenario))
+        code, _, err = run_cli(capsys, command, "--scenario", str(scenario_path), "--runs", "1",
+                               "--iterations", "2", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: {field}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["mutuality", "--theta", "0.3,0.3"],
+        ["mutuality", "--theta", "0.1234567,0.1234568"],
+        ["transitivity", "--characteristics", "4,4"],
+    ], ids=["theta", "theta-same-label", "characteristics"])
+    def test_duplicate_grid_entries_rejected(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, *argv, "--runs", "1", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "repeats" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestExperimentRuns:
     def test_environment_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -137,17 +164,17 @@ class TestExperimentRuns:
         assert "environment:" in out
 
     def test_summary_matches_csv_aggregates(self, capsys, tmp_path):
-        from siotrust.report import read_metrics
+        from siotrust.report import format_value
         out_dir = tmp_path / "out"
         run_cli(capsys, "environment", "--runs", "2", "--iterations", "10",
                 "--out", str(out_dir))
         summary = json.loads((out_dir / "summary.json").read_text())
         aggs = summary["experiments"]["environment"]["aggregates"]
-        rows = read_metrics(out_dir / "metrics_environment.csv")
-        from siotrust.report import format_value
-        for row in rows:
-            if row.run == "aggregate":
-                assert float(format_value(aggs[row.param][row.metric])) == row.value
+        lines = (out_dir / "metrics_environment.csv").read_text().splitlines()[1:]
+        aggregate_lines = [line.split(",") for line in lines if ",aggregate," in line]
+        assert len(aggregate_lines) == 3 * 30 * 2
+        for _, param, _, metric, value in aggregate_lines:
+            assert format_value(aggs[param][metric]) == value
 
     def test_same_argv_identical_outputs(self, capsys, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -184,6 +211,13 @@ class TestExperimentRuns:
         text = (out_dir / "metrics_transitivity.csv").read_text()
         assert "method=traditional" in text
         assert "method=aggressive" not in text
+
+    def test_transitivity_headline_names_methods_run(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "transitivity", "--runs", "1", "--characteristics", "4",
+                               "--method", "traditional", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert "success chars=4: traditional=" in out
+        assert "aggressive" not in out
 
     def test_transitivity_feature_mode(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -234,8 +268,31 @@ class TestExperimentRuns:
         assert "wins=" in out
 
 
+class TestPlots:
+    def test_series_read_by_index_from_aggregates(self):
+        from siotrust.cli import _plots_for
+        from siotrust.domain import Scenario
+        from siotrust.experiments import AGGREGATE, MetricsRow
+        rows = []
+        for regime in ("baseline", "uncorrected", "corrected"):
+            param = f"regime={regime}"
+            rows += [
+                MetricsRow("environment", param, AGGREGATE, "s_hat[001]", 0.9),
+                MetricsRow("environment", param, AGGREGATE, "s_hat[000]", 1.0),
+                MetricsRow("environment", param, AGGREGATE, "s_hat[000]_std", 0.1),
+                MetricsRow("environment", param, AGGREGATE, "s_hat[001]_std", 0.2),
+            ]
+        rows.append(MetricsRow("environment", "regime=corrected", 0, "s_hat[000]", 0.5))
+        scenario = Scenario(env_values=(1.0,), env_epoch_length=2)
+        [(stem, _, _, _, series)] = _plots_for("environment", rows, scenario)
+        assert stem == "environment"
+        assert [s.name for s in series] == ["baseline", "uncorrected", "corrected"]
+        assert series[2].xs == (0.0, 1.0)
+        assert series[2].ys == (1.0, 0.9)
+
+
 class TestBytePins:
-    """Discovery and protocol changes must keep these outputs byte for byte."""
+    """Discovery, protocol and aggregation changes must keep these outputs byte for byte."""
 
     PINS = {
         "mutuality": (
@@ -245,6 +302,10 @@ class TestBytePins:
                     "80c23d16b92e4dd55bf72afef4878266d2a26ec268c05ab015b6b81388ce5807",
                 "trace_mutuality.ndjson":
                     "4b3f97fbecdf528dc1e50efb8956224858b677472f8dceed50ca486d14ec4306",
+                "plot_mutuality.svg":
+                    "81efef217de4e224f95ac666a3fde628d8e720d980704c3f3b9bfcead39fa36e",
+                "summary.json":
+                    "80b4fb810e2843f2a7bdadc1d9f966a2e57ca19a901f3028d4fc32318f6ee215",
             },
         ),
         "transitivity": (
@@ -252,6 +313,50 @@ class TestBytePins:
             {
                 "metrics_transitivity.csv":
                     "ec13273b692d149b76f4368e2bf408b89d2bb5926879c17f15458838fe6ec91a",
+                "plot_transitivity.svg":
+                    "c5058c0599f6b4246f31385338ce6caf5be3ff65fa525c32b3ba03aa877eb512",
+                "plot_transitivity_unavailable.svg":
+                    "6de53d4b6a18ed81b29c13f732011315adf0a7a3bd5ce4b8ce5e2f3ce6330ffd",
+                "plot_transitivity_overhead.svg":
+                    "0e656ce98d956b0cb6a766f32128475b40838857d5c0eadc838078b3bf03d813",
+                "summary.json":
+                    "8617a5b0b18dd318906147730211c8aa751bfef6f1ef0e123171fc18007e1cff",
+            },
+        ),
+        "inference": (
+            ["inference", "--runs", "3"],
+            {
+                "metrics_inference.csv":
+                    "d57825c5fe3bd5b7bfbc454a6fcbc409b812f1bb640f55fc3c9476871b811ef2",
+                "plot_inference.svg":
+                    "f1ff967ec2d4c158d35b5797575e69d7a9ee5787dc8640dff8b5ce13333fde7e",
+                "summary.json":
+                    "293ad4106655245682588f7a1440bf5f31724b5904e1613f596b4d770b6391ca",
+            },
+        ),
+        # 50 attack tasks, so the cost-window rows are written too
+        "profit": (
+            ["profit", "--runs", "2", "--iterations", "50"],
+            {
+                "metrics_profit.csv":
+                    "a493f563d214231e113874372a84ca7a2f42170d1b3debf75149e6bacc0260b2",
+                "plot_profit.svg":
+                    "d756aba59d316d06c50f0c3f0dc6c7e90fce673217e9d3b8de7a5513780b6de8",
+                "plot_profit_attack.svg":
+                    "079751b88136b77e4e9a6b19fc04d9e1c5584ff1f250639442a05ae76b484466",
+                "summary.json":
+                    "0c273ca23dff52aefb25ed25ecac2bec5f507a8793e9c1f6c8a8684c66345414",
+            },
+        ),
+        "environment": (
+            ["environment", "--runs", "2", "--iterations", "5"],
+            {
+                "metrics_environment.csv":
+                    "27dd338fd63df9cd233de58b9381c37430d71a7cd689ee0e1999cdf5a4160453",
+                "plot_environment.svg":
+                    "ade66c355f53a1caa8f8062d322029d3cc1eb5f77d2507e1ea87e1417a466f08",
+                "summary.json":
+                    "1986cad59d47bf623def519edee5a1f106491cfee31fb0cbb2350ef268014b96",
             },
         ),
     }

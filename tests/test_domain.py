@@ -220,9 +220,22 @@ class TestScenario:
         pytest.param({"theta_grid": (-0.1,)}, id="theta_grid-entry-below-0"),
         pytest.param({"service_density": 1.5}, id="service_density-above-1"),
         pytest.param({"rec_density": -0.5}, id="rec_density-below-0"),
+        {"cost_multiplier": -1.0}, {"env_competence": 1.5}, {"env_noise": -0.1},
+        {"env_initial_s": 5.0},
     ], ids=lambda overrides: next(iter(overrides)))
     def test_rejected_before_compute(self, overrides):
         with pytest.raises(ScenarioError, match=next(iter(overrides))):
+            Scenario(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({"theta_grid": (0.3, 0.3)}, id="theta_grid"),
+        # both print as 0.123457, so they would share one result label
+        pytest.param({"theta_grid": (0.1234567, 0.1234568)}, id="theta_grid-same-label"),
+        pytest.param({"char_counts": (4, 5, 4)}, id="char_counts"),
+        pytest.param({"methods": ("aggressive", "aggressive")}, id="methods"),
+    ])
+    def test_duplicate_grid_entries_rejected(self, overrides):
+        with pytest.raises(ScenarioError, match=rf"{next(iter(overrides))}\[\d\] repeats"):
             Scenario(**overrides)
 
     @pytest.mark.parametrize("data,message", [

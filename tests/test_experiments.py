@@ -1,4 +1,5 @@
 import random
+import statistics
 
 import pytest
 
@@ -228,12 +229,25 @@ class TestProfitOracle:
         monkeypatch.setattr(experiments, "AgentProfile", recording_profile)
         for run_idx in range(3):
             built.clear()
-            _, _, out = experiments._profit_unit((sc, variant, run_idx, 7))
+            entries, traces = experiments._profit_unit((sc, variant, run_idx, 7))
             *profiles, trustor = built
             assert len(profiles) == 5
-            for strategy in (eng.SUCCESS_ONLY, eng.FULL_PROFIT):
+            assert traces == []
+            strategies = (eng.SUCCESS_ONLY, eng.FULL_PROFIT)
+            assert [entry[:2] for entry in entries] == [
+                (experiments.label(variant=variant, strategy=s), run_idx) for s in strategies]
+            for (_, _, windows, series), strategy in zip(entries, strategies):
                 expected = reference_profit_series(profiles, trustor, sc, variant, run_idx, 7, strategy)
-                assert out[strategy] == expected
+                if variant == experiments.VARIANT_RANDOM:
+                    assert series == {"net_profit": expected["profits"]}
+                    assert windows == {}
+                else:
+                    costs = expected["costs"]
+                    assert series == {"cost": costs}
+                    assert windows == {
+                        "cost_tasks_1_10": statistics.fmean(costs[0:10]),
+                        "cost_tasks_40_50": statistics.fmean(costs[39:50]),
+                    }
 
 
 class TestEnvironment:
@@ -254,6 +268,41 @@ class TestEnvironment:
         sc = Scenario(env_epoch_length=20)
         assert exp_environment(None, sc, runs=3, master_seed=6) == \
             exp_environment(None, sc, runs=3, master_seed=6)
+
+
+def _demo_unit(run):
+    return [("x=1", run, {"m": float(run)}, {"s": [float(run), 2.0 * run]})], [f"trace{run}"]
+
+
+class TestDriver:
+    def test_rows_from_entries(self):
+        sink = []
+        rows = experiments._drive("demo", _demo_unit, [0, 1, 2], jobs=1, trace_sink=sink)
+        assert {r.experiment for r in rows} == {"demo"}
+        assert {r.param for r in rows} == {"x=1"}
+        spread = statistics.pstdev([0.0, 1.0, 2.0])
+        assert {(r.run, r.metric): r.value for r in rows} == {
+            (0, "m"): 0.0, (1, "m"): 1.0, (2, "m"): 2.0,
+            (AGGREGATE, "m"): 1.0, (AGGREGATE, "m_std"): spread,
+            (AGGREGATE, "s[000]"): 1.0, (AGGREGATE, "s[000]_std"): spread,
+            (AGGREGATE, "s[001]"): 2.0, (AGGREGATE, "s[001]_std"): 2.0 * spread,
+        }
+        assert len(rows) == 9
+        assert sink == ["trace0", "trace1", "trace2"]
+
+
+class TestLabels:
+    def test_formats(self):
+        assert experiments.label(theta=0.3) == "theta=0.3"
+        assert experiments.label(theta=0) == "theta=0"
+        assert experiments.label(theta=0.1234567) == "theta=0.123457"
+        assert experiments.label(chars=4, method="aggressive") == "chars=4,method=aggressive"
+        assert experiments.series_metric("s_hat", 7) == "s_hat[007]"
+
+    def test_explicit_task_pool_is_one_grid_point(self):
+        tasks = ((0, ((0, 1.0),)), (1, ((2, 0.5), (5, 0.5))))
+        assert experiments.char_grid(Scenario(char_counts=(4, 5), tasks=tasks)) == (3,)
+        assert experiments.char_grid(Scenario(char_counts=(4, 5))) == (4, 5)
 
 
 class TestRunner:

@@ -5,8 +5,6 @@ from siotrust.report import (
     METRICS_HEADER,
     Series,
     format_value,
-    read_metrics,
-    series_from_rows,
     write_metrics,
     write_plot,
     write_summary,
@@ -41,10 +39,17 @@ class TestMetricsCsv:
         path = tmp_path / "m.csv"
         rows = rows_sample()
         write_metrics(rows, path)
-        back = {(r.param, r.run, r.metric): r.value for r in read_metrics(path)}
+        back = {}
+        for line in path.read_text().splitlines()[1:]:
+            # params may hold commas ("chars=4,method=traditional"); the other
+            # fields never do
+            _, rest = line.split(",", 1)
+            param, run, metric, value = rest.rsplit(",", 3)
+            back[(param, run, metric)] = float(value)
+        assert len(back) == len(rows)
         for row in rows:
             original = float(format_value(row.value))
-            assert back[(row.param, row.run, row.metric)] == original
+            assert back[(row.param, str(row.run), row.metric)] == original
 
     def test_deterministic_order(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -59,12 +64,6 @@ class TestMetricsCsv:
         assert lines[2].startswith("mutuality,theta=0.3,1")
         assert lines[3].startswith("mutuality,theta=0.3,aggregate")
 
-    def test_read_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError, match="header"):
-            read_metrics(path)
-
     def test_io_error_names_path(self, tmp_path):
         target = tmp_path / "no_dir_here"
         target.write_text("occupied")
@@ -74,23 +73,6 @@ class TestMetricsCsv:
     def test_no_temp_files_left(self, tmp_path):
         write_metrics(rows_sample(), tmp_path / "m.csv")
         assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
-
-
-class TestSeriesExtraction:
-    def test_collects_and_sorts(self):
-        rows = [
-            MetricsRow("environment", "regime=corrected", AGGREGATE, "s_hat[001]", 0.9),
-            MetricsRow("environment", "regime=corrected", AGGREGATE, "s_hat[000]", 1.0),
-            MetricsRow("environment", "regime=corrected", AGGREGATE, "s_hat[000]_std", 0.1),
-            MetricsRow("environment", "regime=baseline", AGGREGATE, "s_hat[000]", 0.5),
-        ]
-        series = series_from_rows(rows, "regime=corrected", "s_hat")
-        assert series.xs == (0.0, 1.0)
-        assert series.ys == (1.0, 0.9)
-
-    def test_missing_series_raises(self):
-        with pytest.raises(ValueError, match="no aggregate series"):
-            series_from_rows([], "regime=x", "s_hat")
 
 
 class TestWritePlot:
