@@ -16,13 +16,12 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from .domain import Scenario, ScenarioError, load_scenario
+from .domain import METHODS, Scenario, ScenarioError, load_scenario
 from .experiments import (
     AGGREGATE,
     EXPERIMENTS,
     REGIMES,
     SELECTION,
-    STRATEGIES,
     VARIANT_ATTACK,
     VARIANT_RANDOM,
     ExperimentSpec,
@@ -34,6 +33,7 @@ from .experiments import (
 )
 from .graph import GraphFormatError, compute_stats, load_edge_list, load_features, stats_csv
 from .report import Series, write_metrics, write_plot, write_summary, write_trace_log
+from .trust_engine import STRATEGIES
 
 BUILTIN_GRAPHS = {
     "synthetic-50": "synthetic_50.edges",
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--omega1", type=float, default=None, help="recommendation gate")
             p.add_argument("--omega2", type=float, default=None, help="service gate")
             p.add_argument("--method", default=None,
-                           choices=["traditional", "conservative", "aggressive"],
+                           choices=METHODS,
                            help="restrict transitivity to one method")
             p.add_argument("--characteristics", default=None,
                            help="comma list of characteristic counts")

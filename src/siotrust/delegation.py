@@ -173,7 +173,7 @@ class PathEvaluator:
 
     def direct_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
         """Trust from the record on the exact task, unmemoized: records change per delegation."""
-        rec = self.store.get(observer, subject, ("task", task.id), kind)
+        rec = self.store.get(observer, subject, task.id, kind)
         return (0, None) if rec is None else (task.mask, eng.post_evaluate(rec))
 
     def full_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
@@ -181,7 +181,7 @@ class PathEvaluator:
         bucket = self._full.setdefault((observer, subject, kind), {})
         hit = bucket.get(task.id)
         if hit is None:
-            rec = self.store.get(observer, subject, ("task", task.id), kind)
+            rec = self.store.get(observer, subject, task.id, kind)
             if rec is not None:
                 value = eng.post_evaluate(rec)
             else:
@@ -485,23 +485,15 @@ def run_delegation(
     outcome = sample_outcome(profiles[trustor], profiles[chosen.node], task, env, intermediates, rng)
     usage_log.record(chosen.node, trustor, responsive=not outcome.abusive)
 
-    svc_key = (trustor, chosen.node, ("task", task.id), SERVICE)
-    svc_record = store.get(*svc_key)
-    created = svc_record is None
-    svc_record = svc_record or initial_record(request.initial_estimates, SERVICE)
-    store.put(*svc_key, eng.update_estimates(svc_record, outcome, request.update))
-    if evaluator is not None:
-        evaluator.invalidate(trustor, chosen.node, structural=created)
-
     rec_pairs = {(path[i], path[i + 1]) for path in paths for i in range(len(path) - 2)}
-    for observer, subject in sorted(rec_pairs):
-        key = (observer, subject, ("task", task.id), RECOMMENDATION)
-        rec_record = store.get(*key)
-        created = rec_record is None
-        rec_record = rec_record or initial_record(request.initial_estimates, RECOMMENDATION)
-        store.put(*key, eng.update_estimates(rec_record, outcome, request.update))
+    writes = [(trustor, chosen.node, SERVICE)]
+    writes += [(observer, subject, RECOMMENDATION) for observer, subject in sorted(rec_pairs)]
+    for observer, subject, kind in writes:
+        record = store.get(observer, subject, task.id, kind)
+        base = record or initial_record(request.initial_estimates)
+        store.put(observer, subject, task.id, kind, eng.update_estimates(base, outcome, request.update))
         if evaluator is not None:
-            evaluator.invalidate(observer, subject, structural=created)
+            evaluator.invalidate(observer, subject, structural=record is None)
 
     trace.chosen = chosen.node
     trace.outcome = outcome

@@ -9,6 +9,7 @@ each owned and mutated by a single simulation run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
@@ -18,6 +19,11 @@ from typing import Mapping, Optional, Sequence
 SERVICE = "service"
 RECOMMENDATION = "recommendation"
 KINDS = (SERVICE, RECOMMENDATION)
+
+TRADITIONAL = "traditional"
+CONSERVATIVE = "conservative"
+AGGRESSIVE = "aggressive"
+METHODS = (TRADITIONAL, CONSERVATIVE, AGGRESSIVE)
 
 WEIGHT_TOLERANCE = 1e-9
 
@@ -87,11 +93,13 @@ def _check_unit(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class TrustRecord:
-    """One observer's estimates about one subject in one task context.
+    """One observer's estimates about one subject on one task.
 
     `s_hat` is the expected success rate; `g_hat`, `d_hat`, `c_hat` the
     expected gain, damage, and cost, all in [0, 1]. A record with
-    interaction_count 0 holds the configured initial estimates.
+    interaction_count 0 holds the configured initial estimates. The kind
+    of trust (service or recommendation) is part of the record's key in
+    `TrustStore`, not of the record.
     """
 
     s_hat: float
@@ -99,7 +107,6 @@ class TrustRecord:
     d_hat: float
     c_hat: float
     interaction_count: int = 0
-    kind: str = SERVICE
 
     def __post_init__(self):
         _check_unit("s_hat", self.s_hat)
@@ -108,47 +115,38 @@ class TrustRecord:
         _check_unit("c_hat", self.c_hat)
         if self.interaction_count < 0:
             raise ValueError("interaction_count must be >= 0")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
-def initial_record(estimates: Sequence[float] = (0.5, 0.5, 0.5, 0.5), kind: str = SERVICE) -> TrustRecord:
+def initial_record(estimates: Sequence[float] = (0.5, 0.5, 0.5, 0.5)) -> TrustRecord:
     s, g, d, c = estimates
-    return TrustRecord(s_hat=s, g_hat=g, d_hat=d, c_hat=c, interaction_count=0, kind=kind)
+    return TrustRecord(s_hat=s, g_hat=g, d_hat=d, c_hat=c, interaction_count=0)
 
 
 class TrustStore:
-    """Map from (observer, subject, context, kind) to TrustRecord.
+    """Map from (observer, subject, task id, kind) to TrustRecord.
 
-    Context is ("task", id) or ("char", id). Lookups for absent keys
-    return None, which is distinct from any stored record: strangers and
-    distrusted nodes must stay distinguishable for the unavailable-rate
-    metric.
+    Records are kept per task only: trust in a characteristic is always
+    inferred from them, never stored. Lookups for absent keys return None,
+    which is distinct from any stored record: strangers and distrusted
+    nodes must stay distinguishable for the unavailable-rate metric.
     """
 
     def __init__(self):
-        self._by_pair: dict[tuple[int, int, str], dict[tuple[str, int], TrustRecord]] = {}
+        self._by_pair: dict[tuple[int, int, str], dict[int, TrustRecord]] = {}
 
-    def put(self, observer: int, subject: int, context: tuple[str, int], kind: str, record: TrustRecord) -> None:
+    def put(self, observer: int, subject: int, task_id: int, kind: str, record: TrustRecord) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        if record.kind != kind:
-            record = TrustRecord(record.s_hat, record.g_hat, record.d_hat, record.c_hat,
-                                 record.interaction_count, kind)
-        self._by_pair.setdefault((observer, subject, kind), {})[context] = record
+        self._by_pair.setdefault((observer, subject, kind), {})[task_id] = record
 
-    def get(self, observer: int, subject: int, context: tuple[str, int], kind: str) -> Optional[TrustRecord]:
+    def get(self, observer: int, subject: int, task_id: int, kind: str) -> Optional[TrustRecord]:
         bucket = self._by_pair.get((observer, subject, kind))
-        return None if bucket is None else bucket.get(context)
+        return None if bucket is None else bucket.get(task_id)
 
     def task_records(self, observer: int, subject: int, kind: str) -> list[tuple[int, TrustRecord]]:
-        """All task-context records the observer holds about the subject, by task id."""
+        """All records the observer holds about the subject, by task id."""
         bucket = self._by_pair.get((observer, subject, kind))
-        if not bucket:
-            return []
-        out = [(ctx[1], rec) for ctx, rec in bucket.items() if ctx[0] == "task"]
-        out.sort(key=itemgetter(0))
-        return out
+        return sorted(bucket.items(), key=itemgetter(0)) if bucket else []
 
 
 @dataclass(frozen=True)
@@ -272,8 +270,7 @@ _OPEN_UNIT = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 _FORGETTING = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
 _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-_METHOD = ("traditional, conservative or aggressive",
-           lambda v: v in ("traditional", "conservative", "aggressive"))
+_METHOD = (f"{', '.join(METHODS[:-1])} or {METHODS[-1]}", lambda v: v in METHODS)
 
 # Scenario field -> (type, minimum entries of a list field or None for a
 # scalar, allowed (description, test) or None). List entries are checked one
@@ -311,8 +308,10 @@ def _check_field(name: str, value, kind: type, allowed) -> None:
     """Raise ScenarioError naming `name` unless `value` has the type and range."""
     if isinstance(value, bool):
         typed = kind is bool
+    elif kind is float:
+        typed = isinstance(value, (int, float)) and math.isfinite(value)
     else:
-        typed = isinstance(value, (int, float) if kind is float else kind)
+        typed = isinstance(value, kind)
     if not typed:
         raise ScenarioError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
     if allowed is not None and not allowed[1](value):
@@ -406,6 +405,10 @@ class Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad task definitions: {exc}") from exc
         self.task_objects()
+        # explicit tasks are one grid point; a set field cannot be told from
+        # a defaulted one after `replace`, so any change from the default counts
+        if self.tasks and self.char_counts != Scenario.char_counts:
+            raise ScenarioError("char_counts cannot be combined with explicit tasks")
 
     def task_objects(self) -> dict[int, Task]:
         """Validated Task objects for the explicit definitions, by id."""

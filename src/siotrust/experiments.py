@@ -213,10 +213,10 @@ def _mutuality_unit(args):
     for (t, x), responsive in preseed.items():
         usage.seed(t, x, responsive, sc.preseed_uses)
     store = TrustStore()
+    seed_record = initial_record(sc.initial_estimates)
     for x in roles.trustors:
         for t in candidates[x]:
-            store.put(x, t, ("task", task.id), SERVICE,
-                      initial_record(sc.initial_estimates, SERVICE))
+            store.put(x, t, task.id, SERVICE, seed_record)
 
     env = Environment()
     params = eng.TransitivityParams(omega1=0.0, omega2=0.0, max_hops=1, method=eng.TRADITIONAL)
@@ -312,8 +312,8 @@ def _inference_unit(args):
     # trustor neighbour shares the same frozen pair
     seeded = {
         t: (TrustRecord(competence[t][0] * (sc.taint_penalty if t in dishonest else 1.0),
-                        1.0, 1.0, 0.0, 1, SERVICE),
-            TrustRecord(competence[t][1], 1.0, 1.0, 0.0, 1, SERVICE))
+                        1.0, 1.0, 0.0, 1),
+            TrustRecord(competence[t][1], 1.0, 1.0, 0.0, 1))
         for t in roles.trustees
     }
     store = TrustStore()
@@ -322,8 +322,8 @@ def _inference_unit(args):
             if t not in trustee_set:
                 continue
             rec_a, rec_b = seeded[t]
-            store.put(x, t, ("task", TAINTED_TASK), SERVICE, rec_a)
-            store.put(x, t, ("task", CLEAN_TASK), SERVICE, rec_b)
+            store.put(x, t, TAINTED_TASK, SERVICE, rec_a)
+            store.put(x, t, CLEAN_TASK, SERVICE, rec_b)
 
     rng_pick = random.Random(derive_seed(master, "inference-pick", rep))
     with_honest = without_honest = participants = 0
@@ -451,15 +451,13 @@ def _transitivity_unit(args):
             for task in task_objs:
                 if rng.random() < sc.service_density:
                     s_hat = profiles[n].task_competence(task)
-                    store.put(m, n, ("task", task.id), SERVICE,
-                              TrustRecord(s_hat, 1.0, 1.0, 0.0, 1, SERVICE))
+                    store.put(m, n, task.id, SERVICE, TrustRecord(s_hat, 1.0, 1.0, 0.0, 1))
     for n in graph.nodes():
         known = sorted({tid for k in graph.neighbors(n) for tid in experienced[k]})
         for m in graph.neighbors(n):
             for tid in known:
                 if rng.random() < sc.rec_density:
-                    store.put(m, n, ("task", tid), RECOMMENDATION,
-                              TrustRecord(rng.random(), 1.0, 1.0, 0.0, 1, RECOMMENDATION))
+                    store.put(m, n, tid, RECOMMENDATION, TrustRecord(rng.random(), 1.0, 1.0, 0.0, 1))
 
     requests = [
         (x, pool[rng.randrange(len(pool))], rng.random())
@@ -522,7 +520,6 @@ def exp_transitivity(
 
 VARIANT_RANDOM = "random"
 VARIANT_ATTACK = "attack"
-STRATEGIES = (eng.SUCCESS_ONLY, eng.FULL_PROFIT)
 
 
 def _profit_unit(args):
@@ -558,8 +555,8 @@ def _profit_unit(args):
     update = eng.UpdateParams.uniform(sc.beta)
 
     entries = []
-    for strategy in STRATEGIES:
-        records = [initial_record(sc.initial_estimates, SERVICE)] * count
+    for strategy in eng.STRATEGIES:
+        records = [initial_record(sc.initial_estimates)] * count
         scores = [eng.strategy_score(rec, strategy) for rec in records]
         # common random numbers: both strategies face the identical draw
         # sequence, so their curves differ only through candidate choice

@@ -38,11 +38,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _run_key(run) -> tuple:
-    if run == AGGREGATE:
-        return (1, 0, "")
-    if isinstance(run, int):
-        return (0, run, "")
-    return (0, 0, str(run))
+    return (1, 0) if run == AGGREGATE else (0, run)
 
 
 def write_metrics(rows: Sequence[MetricsRow], path) -> None:

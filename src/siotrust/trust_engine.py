@@ -20,7 +20,12 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+# the method names are re-exported: callers read them as `eng.TRADITIONAL`
 from .domain import (
+    AGGRESSIVE,
+    CONSERVATIVE,
+    METHODS,
+    TRADITIONAL,
     AgentProfile,
     DelegationOutcome,
     Task,
@@ -30,11 +35,6 @@ from .domain import (
 )
 
 log = logging.getLogger(__name__)
-
-TRADITIONAL = "traditional"
-CONSERVATIVE = "conservative"
-AGGRESSIVE = "aggressive"
-METHODS = (TRADITIONAL, CONSERVATIVE, AGGRESSIVE)
 
 SUCCESS_ONLY = "success_only"
 FULL_PROFIT = "full_profit"
@@ -117,7 +117,6 @@ def update_from_realized(
         d_hat=blend(record.d_hat, d, params.beta_d),
         c_hat=blend(record.c_hat, c, params.beta_c),
         interaction_count=record.interaction_count + 1,
-        kind=record.kind,
     )
 
 
@@ -215,21 +214,6 @@ def infer_subset_tw(
     return value
 
 
-def record_history(
-    store: TrustStore,
-    observer: int,
-    subject: int,
-    kind: str,
-    tasks: Mapping[int, Task],
-) -> list[tuple[Task, float]]:
-    """(task, trust) pairs for everything the observer knows about the subject."""
-    return [
-        (tasks[task_id], post_evaluate(rec))
-        for task_id, rec in store.task_records(observer, subject, kind)
-        if task_id in tasks
-    ]
-
-
 def task_trust(
     store: TrustStore,
     observer: int,
@@ -243,10 +227,11 @@ def task_trust(
     A direct record for the exact task wins; inference over analogous
     tasks applies only when the task is unexperienced.
     """
-    direct = store.get(observer, subject, ("task", task.id), kind)
+    direct = store.get(observer, subject, task.id, kind)
     if direct is not None:
         return post_evaluate(direct)
-    history = record_history(store, observer, subject, kind, tasks)
+    history = [(tasks[task_id], post_evaluate(rec))
+               for task_id, rec in store.task_records(observer, subject, kind) if task_id in tasks]
     if not history:
         return None
     return infer_task_tw(history, task)

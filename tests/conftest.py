@@ -42,7 +42,7 @@ def discover_on(n: int, edges, records, target, tasks, params: TransitivityParam
     """
     store = TrustStore()
     for (observer, subject, task_id, kind), tw in records.items():
-        store.put(observer, subject, ("task", task_id), kind, tw_record(tw))
+        store.put(observer, subject, task_id, kind, tw_record(tw))
     profiles = {v: AgentProfile(node=v, is_trustor=v == 0, is_trustee=True) for v in range(n)}
     request = DelegationRequest(trustor=0, task=target, transitivity=params)
     disc = find_potential_trustees(make_graph(n, edges), store, profiles, request, tasks)

@@ -1,10 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tempfile
 import time
+from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from siotrust import experiments
 from siotrust.cli import main
+from siotrust.domain import METHODS, Scenario
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +132,17 @@ class TestUsageErrors:
                                str(scenario_path), "--runs", "1", "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith(f"error: {field}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_char_counts_with_explicit_tasks_rejected(self, capsys, tmp_path):
+        scenario_path = tmp_path / "s.json"
+        scenario_path.write_text(json.dumps({"tasks": [[0, [[0, 1.0]]], [1, [[1, 1.0]]]]}))
+        code, _, err = run_cli(capsys, "transitivity", "--scenario", str(scenario_path),
+                               "--characteristics", "4,5", "--runs", "1",
+                               "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: char_counts")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -266,6 +288,67 @@ class TestExperimentRuns:
         assert code == 0
         assert (out_dir / "plot_inference.svg").exists()
         assert "wins=" in out
+
+
+# A small world, so that an accepted scenario runs in milliseconds.
+FUZZ_BASE = {"runs": 1, "mutuality_rounds": 2, "preseed_uses": 2, "inference_reps": 2,
+             "tasks_per_node": 1, "profit_candidates": 3, "profit_iterations": 3,
+             "attack_tasks": 3, "env_epoch_length": 3}
+
+_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 8), st.floats(-0.5, 1.5),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e9]),
+    st.sampled_from(["", "3", "gps", *METHODS]),
+)
+_task = st.tuples(st.integers(-1, 3),
+                  st.lists(st.tuples(st.integers(-1, 4), st.floats(-0.5, 2.0)), max_size=3))
+_mutation = st.dictionaries(
+    st.sampled_from([f.name for f in fields(Scenario)] + ["bogus"]),
+    st.one_of(_scalar, st.lists(_scalar, max_size=4), st.lists(_task, max_size=3)),
+    max_size=4,
+)
+# every node gets a self-loop, which the loader drops: nodes without an edge stay isolated
+_graph = st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10
+).map(lambda edges: [(v, v) for v in range(n)] + edges))
+
+
+class TestScenarioFuzz:
+    """A validated scenario runs to in-range metrics; any other is refused before compute."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(which=st.sampled_from(experiments.EXPERIMENTS), edges=_graph, mutation=_mutation)
+    def test_accepted_runs_in_range_rejected_before_compute(self, which, edges, mutation):
+        calls = []
+        real_map_units = experiments._map_units
+
+        def map_units(*args):
+            calls.append(which)
+            return real_map_units(*args)
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(experiments, "_map_units", map_units):
+            tmp = Path(tmp)
+            (tmp / "g.edges").write_text("".join(f"{u} {v}\n" for u, v in edges))
+            (tmp / "s.json").write_text(json.dumps({**FUZZ_BASE, **mutation}))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([which, "--graph", str(tmp / "g.edges"), "--scenario",
+                             str(tmp / "s.json"), "--jobs", "1", "--out", str(tmp / "out")])
+            err = err.getvalue()
+            assert "Traceback" not in err
+            if code == 1:
+                assert err.startswith("error:")
+                assert not calls, err
+                return
+            assert code == 0, err
+            lines = (tmp / "out" / f"metrics_{which}.csv").read_text().splitlines()[1:]
+        assert lines
+        for line in lines:
+            metric, value = line.rsplit(",", 2)[1:]
+            assert math.isfinite(float(value)), line
+            if metric.endswith("_rate"):
+                assert 0.0 <= float(value) <= 1.0, line
 
 
 class TestPlots:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from siotrust.delegation import (
     sample_outcome,
 )
 from siotrust.domain import (
+    KINDS,
     RECOMMENDATION,
     SERVICE,
     AgentProfile,
@@ -25,6 +27,7 @@ from siotrust.domain import (
 from siotrust.report import write_trace_log
 
 from conftest import make_graph
+from test_transitivity import random_instance
 
 
 class StubRng:
@@ -48,7 +51,7 @@ def star_world(theta=0.0, trustee_count=3, s_hat=0.9):
     for t in range(1, trustee_count + 1):
         profiles[t] = AgentProfile(
             node=t, is_trustee=True, competence={0: 1.0}, default_threshold=theta)
-        store.put(0, t, ("task", 0), SERVICE, TrustRecord(s_hat, 1.0, 1.0, 0.0, 1, SERVICE))
+        store.put(0, t, 0, SERVICE, TrustRecord(s_hat, 1.0, 1.0, 0.0, 1))
     return graph, store, profiles, task, tasks
 
 
@@ -84,12 +87,12 @@ class TestDiscovery:
         t_b = make_task(2, [(1, 1.0)])
         tasks = {t.id: t for t in (target, t_a, t_b)}
         store = TrustStore()
-        rec = TrustRecord(0.85, 1.0, 1.0, 0.0, 1, RECOMMENDATION)
-        svc = TrustRecord(0.7, 1.0, 1.0, 0.0, 1, SERVICE)
-        store.put(0, 1, ("task", 1), RECOMMENDATION, rec)
-        store.put(1, 4, ("task", 1), SERVICE, svc)
-        store.put(0, 2, ("task", 2), RECOMMENDATION, rec)
-        store.put(2, 4, ("task", 2), SERVICE, svc)
+        rec = TrustRecord(0.85, 1.0, 1.0, 0.0, 1)
+        svc = TrustRecord(0.7, 1.0, 1.0, 0.0, 1)
+        store.put(0, 1, 1, RECOMMENDATION, rec)
+        store.put(1, 4, 1, SERVICE, svc)
+        store.put(0, 2, 2, RECOMMENDATION, rec)
+        store.put(2, 4, 2, SERVICE, svc)
         profiles = {n: AgentProfile(node=n, is_trustor=n == 0, is_trustee=n == 4,
                                     competence={0: 1.0, 1: 1.0}) for n in range(5)}
         for method, expected in (("traditional", []), ("conservative", []), ("aggressive", [4])):
@@ -192,7 +195,7 @@ class TestRunDelegation:
         trace, store, usage = self.run_one(trustee_count=1)
         assert trace.chosen == 1
         assert trace.outcome.success
-        rec = store.get(0, 1, ("task", 0), SERVICE)
+        rec = store.get(0, 1, 0, SERVICE)
         assert rec.interaction_count == 2
         assert usage.counts(1, 0) == (1, 1)
 
@@ -211,7 +214,7 @@ class TestRunDelegation:
         assert trace.outcome is None
         assert len(trace.rejections) == 3
         for t in (1, 2, 3):
-            assert store.get(0, t, ("task", 0), SERVICE).interaction_count == 1
+            assert store.get(0, t, 0, SERVICE).interaction_count == 1
             assert usage.counts(t, 0) == (0, 0)
 
     def test_impossible_threshold_never_chosen(self):
@@ -234,8 +237,8 @@ class TestRunDelegation:
         task = make_task(0, [(0, 1.0)])
         tasks = {0: task}
         store = TrustStore()
-        store.put(0, 1, ("task", 0), RECOMMENDATION, TrustRecord(0.9, 1.0, 1.0, 0.0, 1, RECOMMENDATION))
-        store.put(1, 2, ("task", 0), SERVICE, TrustRecord(0.8, 1.0, 1.0, 0.0, 1, SERVICE))
+        store.put(0, 1, 0, RECOMMENDATION, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
+        store.put(1, 2, 0, SERVICE, TrustRecord(0.8, 1.0, 1.0, 0.0, 1))
         profiles = {
             0: AgentProfile(node=0, is_trustor=True, integrity=1.0),
             1: AgentProfile(node=1),
@@ -245,9 +248,9 @@ class TestRunDelegation:
         trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
                                req, random.Random(3), tasks)
         assert trace.chosen == 2
-        rec = store.get(0, 1, ("task", 0), RECOMMENDATION)
+        rec = store.get(0, 1, 0, RECOMMENDATION)
         assert rec.interaction_count == 2
-        svc = store.get(0, 2, ("task", 0), SERVICE)
+        svc = store.get(0, 2, 0, SERVICE)
         assert svc is not None and svc.interaction_count == 1
 
     def test_environment_scales_success_probability(self):
@@ -259,7 +262,7 @@ class TestRunDelegation:
         rng = random.Random(11)
         for _ in range(400):
             fresh = TrustStore()
-            fresh.put(0, 1, ("task", 0), SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1, SERVICE))
+            fresh.put(0, 1, 0, SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
             trace = run_delegation(graph, profiles, fresh, UsageLog(), env, req, rng, tasks)
             hits += trace.outcome.success
             assert trace.outcome.env_snapshot == (0.25, 0.25)
@@ -279,13 +282,13 @@ class TestEvaluatorCoherence:
         target = make_task(0, [(0, 0.5), (1, 0.5)])
         tasks = {t.id: t for t in (target, make_task(1, [(0, 1.0)]), make_task(2, [(1, 1.0)]))}
         store = TrustStore()
-        rec = TrustRecord(0.9, 1.0, 1.0, 0.0, 1, RECOMMENDATION)
-        svc = TrustRecord(0.9, 1.0, 1.0, 0.0, 1, SERVICE)
-        store.put(0, 1, ("task", 1), RECOMMENDATION, rec)
-        store.put(0, 1, ("task", 2), RECOMMENDATION, rec)
-        store.put(1, 2, ("task", 0), SERVICE, svc)
-        store.put(0, 3, ("task", 2), RECOMMENDATION, rec)
-        store.put(3, 4, ("task", 0), SERVICE, svc)
+        rec = TrustRecord(0.9, 1.0, 1.0, 0.0, 1)
+        svc = TrustRecord(0.9, 1.0, 1.0, 0.0, 1)
+        store.put(0, 1, 1, RECOMMENDATION, rec)
+        store.put(0, 1, 2, RECOMMENDATION, rec)
+        store.put(1, 2, 0, SERVICE, svc)
+        store.put(0, 3, 2, RECOMMENDATION, rec)
+        store.put(3, 4, 0, SERVICE, svc)
         profiles = {n: AgentProfile(node=n, is_trustor=n == 0, is_trustee=n in (2, 3, 4),
                                     integrity=1.0, competence={0: 1.0, 1: 1.0})
                     for n in range(5)}
@@ -305,10 +308,10 @@ class TestEvaluatorCoherence:
             assert trace.chosen == 2
             if step == 0:
                 # structural: the delegation created 0's records about 1 and 2
-                assert store.get(0, 1, ("task", 0), RECOMMENDATION) is not None
+                assert store.get(0, 1, 0, RECOMMENDATION) is not None
                 assert ev.evidence_row(graph, profiles, eng.TRADITIONAL, target, 0) == ((1,), (2,))
             # value-only from step 1 on: the service record about 2 is updated
-            assert store.get(0, 2, ("task", 0), SERVICE).interaction_count == step + 1
+            assert store.get(0, 2, 0, SERVICE).interaction_count == step + 1
             for m in self.METHODS:
                 request = request_for(target, method=m, max_hops=3)
                 reused = find_potential_trustees(graph, store, profiles, request, tasks, ev)
@@ -351,3 +354,22 @@ class TestDeterminism:
         assert data["chosen"] == trace.chosen
         assert data["outcome"]["success"] == trace.outcome.success
         assert data["interrogated"] == trace.nodes_interrogated
+
+
+class TestOracleInstances:
+    # sha256 over every record of random_instance(seed), seeds 0-199, recorded
+    # while records still carried their kind and the store keyed them by a
+    # (context type, task id) pair: the oracle's instances must not move
+    RECORDS_SHA256 = "05346210f03323743db50f7f8f5386f39e599397e08fa565029596cffaf5d9c3"
+
+    def test_random_instance_records_pinned(self):
+        lines = []
+        for seed in range(200):
+            graph, store, *_ = random_instance(seed)
+            records = sorted(
+                (o, s, kind, task_id, r.s_hat, r.g_hat, r.d_hat, r.c_hat, r.interaction_count)
+                for o in graph.nodes() for s in graph.nodes() for kind in KINDS
+                for task_id, r in store.task_records(o, s, kind))
+            lines.append(repr(records))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.RECORDS_SHA256

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -67,48 +68,50 @@ class TestTrustRecord:
             TrustRecord(0.5, 0.5, -0.1, 0.5)
         with pytest.raises(ValueError):
             TrustRecord(0.5, 0.5, 0.5, 0.5, interaction_count=-1)
-        with pytest.raises(ValueError):
-            TrustRecord(0.5, 0.5, 0.5, 0.5, kind="other")
 
     def test_initial_record(self):
-        rec = initial_record((0.1, 0.2, 0.3, 0.4), RECOMMENDATION)
+        rec = initial_record((0.1, 0.2, 0.3, 0.4))
         assert (rec.s_hat, rec.g_hat, rec.d_hat, rec.c_hat) == (0.1, 0.2, 0.3, 0.4)
         assert rec.interaction_count == 0
-        assert rec.kind == RECOMMENDATION
 
 
 class TestTrustStore:
     def test_round_trip(self):
         store = TrustStore()
-        rec = TrustRecord(0.9, 0.8, 0.1, 0.2, 3, SERVICE)
-        store.put(1, 2, ("task", 7), SERVICE, rec)
-        assert store.get(1, 2, ("task", 7), SERVICE) == rec
+        rec = TrustRecord(0.9, 0.8, 0.1, 0.2, 3)
+        store.put(1, 2, 7, SERVICE, rec)
+        assert store.get(1, 2, 7, SERVICE) == rec
 
     def test_absent_key_is_none(self):
         store = TrustStore()
-        assert store.get(1, 2, ("task", 7), SERVICE) is None
-        store.put(1, 2, ("task", 7), SERVICE, initial_record())
-        assert store.get(1, 2, ("task", 8), SERVICE) is None
-        assert store.get(2, 1, ("task", 7), SERVICE) is None
+        assert store.get(1, 2, 7, SERVICE) is None
+        store.put(1, 2, 7, SERVICE, initial_record())
+        assert store.get(1, 2, 8, SERVICE) is None
+        assert store.get(2, 1, 7, SERVICE) is None
 
     def test_kinds_do_not_collide(self):
         store = TrustStore()
-        store.put(1, 2, ("task", 7), SERVICE, TrustRecord(0.9, 1, 1, 0, kind=SERVICE))
-        assert store.get(1, 2, ("task", 7), RECOMMENDATION) is None
+        store.put(1, 2, 7, SERVICE, TrustRecord(0.9, 1, 1, 0))
+        assert store.get(1, 2, 7, RECOMMENDATION) is None
 
     def test_task_records_sorted(self):
         store = TrustStore()
-        store.put(1, 2, ("task", 9), SERVICE, initial_record())
-        store.put(1, 2, ("task", 3), SERVICE, initial_record())
-        store.put(1, 2, ("char", 1), SERVICE, initial_record())
+        store.put(1, 2, 9, SERVICE, initial_record())
+        store.put(1, 2, 3, SERVICE, initial_record())
         assert [tid for tid, _ in store.task_records(1, 2, SERVICE)] == [3, 9]
+
+    def test_put_rejects_unknown_kind(self):
+        store = TrustStore()
+        with pytest.raises(ValueError, match="unknown kind 'other'"):
+            store.put(1, 2, 7, "other", initial_record())
+        assert store.task_records(1, 2, "other") == []
 
     def test_overwrite_single_record_per_key(self):
         store = TrustStore()
-        store.put(1, 2, ("task", 1), SERVICE, initial_record())
-        store.put(1, 2, ("task", 1), SERVICE, TrustRecord(0.9, 1, 1, 0))
+        store.put(1, 2, 1, SERVICE, initial_record())
+        store.put(1, 2, 1, SERVICE, TrustRecord(0.9, 1, 1, 0))
         assert len(store.task_records(1, 2, SERVICE)) == 1
-        assert store.get(1, 2, ("task", 1), SERVICE).s_hat == 0.9
+        assert store.get(1, 2, 1, SERVICE).s_hat == 0.9
 
 
 class TestAgentProfile:
@@ -247,8 +250,12 @@ class TestScenario:
         ({"use_features": 1}, "use_features must be true or false"),
         ({"preseed_uses": True}, "preseed_uses must be an integer"),
         ({"env_values": 0.5}, "env_values must be a list"),
+        ({"env_noise": math.inf}, "env_noise must be a number"),
+        ({"cost_multiplier": math.inf}, "cost_multiplier must be a number"),
+        ({"theta_grid": [math.nan]}, r"theta_grid\[0\] must be a number"),
     ], ids=["char_counts-float-entry", "max_hops-string", "beta-null", "role_fraction-string",
-            "theta_grid-string-entry", "use_features-int", "preseed_uses-bool", "env_values-scalar"])
+            "theta_grid-string-entry", "use_features-int", "preseed_uses-bool", "env_values-scalar",
+            "env_noise-infinite", "cost_multiplier-infinite", "theta_grid-nan-entry"])
     def test_wrong_type_names_field(self, data, message):
         with pytest.raises(ScenarioError, match=message):
             Scenario.from_dict(data)

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 import siotrust.trust_engine as eng
 from siotrust.domain import (
-    RECOMMENDATION,
     SERVICE,
     AgentProfile,
     DelegationOutcome,
@@ -19,8 +18,8 @@ from conftest import chain_candidate, discover_on, tw_record
 unit = st.floats(0.0, 1.0)
 
 
-def record(s, g=0.5, d=0.5, c=0.5, kind=SERVICE, count=0):
-    return TrustRecord(s, g, d, c, count, kind)
+def record(s, g=0.5, d=0.5, c=0.5, count=0):
+    return TrustRecord(s, g, d, c, count)
 
 
 class TestNormalize:
@@ -93,12 +92,10 @@ class TestUpdateEstimates:
         updated = eng.update_estimates(record(1.0), self.outcome(False), params)
         assert abs(updated.s_hat - 0.1) < 1e-12
 
-    def test_count_increments_and_kind_kept(self):
+    def test_count_increments(self):
         params = eng.UpdateParams.uniform(0.5)
-        updated = eng.update_estimates(record(0.5, kind=RECOMMENDATION, count=4),
-                                       self.outcome(True), params)
+        updated = eng.update_estimates(record(0.5, count=4), self.outcome(True), params)
         assert updated.interaction_count == 5
-        assert updated.kind == RECOMMENDATION
 
     @settings(max_examples=200)
     @given(st.floats(0.0, 0.99), unit, unit, st.integers(1, 60))
@@ -215,8 +212,8 @@ class TestTaskTrust:
         target = make_task(1, [(0, 1.0)])
         other = make_task(2, [(0, 1.0)])
         tasks = {1: target, 2: other}
-        store.put(0, 1, ("task", 1), SERVICE, record(1.0, 1.0, 0.0, 0.0))
-        store.put(0, 1, ("task", 2), SERVICE, record(0.0, 0.0, 1.0, 1.0))
+        store.put(0, 1, 1, SERVICE, record(1.0, 1.0, 0.0, 0.0))
+        store.put(0, 1, 2, SERVICE, record(0.0, 0.0, 1.0, 1.0))
         assert eng.task_trust(store, 0, 1, target, SERVICE, tasks) == 1.0
 
     def test_falls_back_to_inference(self):
@@ -224,7 +221,7 @@ class TestTaskTrust:
         other = make_task(2, [(0, 1.0)])
         target = make_task(1, [(0, 1.0)])
         tasks = {1: target, 2: other}
-        store.put(0, 1, ("task", 2), SERVICE, record(1.0, 1.0, 0.0, 0.0))
+        store.put(0, 1, 2, SERVICE, record(1.0, 1.0, 0.0, 0.0))
         assert eng.task_trust(store, 0, 1, target, SERVICE, tasks) == 1.0
 
     def test_no_records_is_none(self):

@@ -7,7 +7,6 @@ import siotrust.trust_engine as eng
 from siotrust import experiments
 from siotrust.delegation import sample_outcome
 from siotrust.domain import (
-    SERVICE,
     AgentProfile,
     Environment,
     Scenario,
@@ -202,7 +201,7 @@ def reference_profit_series(profiles, trustor, sc, variant, run_idx, master, str
     else:
         score = eng.net_profit
     iterations = sc.attack_tasks if variant == experiments.VARIANT_ATTACK else sc.profit_iterations
-    records = {i: initial_record(sc.initial_estimates, SERVICE) for i in range(len(profiles))}
+    records = {i: initial_record(sc.initial_estimates) for i in range(len(profiles))}
     rng = random.Random(derive_seed(master, "profit-play", variant, run_idx))
     task = make_task(0, [(0, 1.0)])
     profits, costs = [], []
@@ -301,7 +300,7 @@ class TestLabels:
 
     def test_explicit_task_pool_is_one_grid_point(self):
         tasks = ((0, ((0, 1.0),)), (1, ((2, 0.5), (5, 0.5))))
-        assert experiments.char_grid(Scenario(char_counts=(4, 5), tasks=tasks)) == (3,)
+        assert experiments.char_grid(Scenario(tasks=tasks)) == (3,)
         assert experiments.char_grid(Scenario(char_counts=(4, 5))) == (4, 5)
 
 

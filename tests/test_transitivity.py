@@ -204,13 +204,13 @@ def random_instance(seed):
         for s in graph.neighbors(o):
             for task in pool:
                 if rng.random() < 0.35:
-                    store.put(o, s, ("task", task.id), SERVICE,
+                    store.put(o, s, task.id, SERVICE,
                               TrustRecord(rng.random(), rng.random(), rng.random(), rng.random(),
-                                          1, SERVICE))
+                                          1))
                 if rng.random() < 0.35:
-                    store.put(o, s, ("task", task.id), RECOMMENDATION,
+                    store.put(o, s, task.id, RECOMMENDATION,
                               TrustRecord(rng.random(), rng.random(), rng.random(), rng.random(),
-                                          1, RECOMMENDATION))
+                                          1))
 
     trustees = [node for node in graph.nodes() if rng.random() < 0.5]
     if not trustees:
