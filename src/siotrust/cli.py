@@ -10,7 +10,6 @@ stdout only so repeated invocations stay byte-identical on disk.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 import time
 from importlib import resources
@@ -92,6 +91,9 @@ def _scenario_from_args(args) -> Scenario:
     if args.method is not None:
         overrides["methods"] = (args.method,)
     if args.characteristics is not None:
+        if scenario.tasks:
+            raise ScenarioError("char_counts (--characteristics) cannot be combined with "
+                                "explicit tasks")
         overrides["char_counts"] = _csv_ints(args.characteristics)
     if args.iterations is not None:
         n = args.iterations
@@ -209,6 +211,8 @@ def _headline(which: str, rows, scenario: Scenario) -> str:
 
 
 def _run_experiments(names, args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError("--jobs must be >= 1")
     graph = _load_graph(args.graph, args.features)
     scenario = _scenario_from_args(args)
     out_dir = Path(args.out)
@@ -277,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--characteristics", default=None,
                            help="comma list of characteristic counts")
             p.add_argument("--trace", action="store_true", help="write a delegation trace log")
-            p.add_argument("-v", "--verbose", action="count", default=0)
 
     stats_p = sub.add_parser("stats", help="print connectivity statistics for a graph")
     add_common(stats_p, with_experiment_flags=False)
@@ -294,9 +297,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    verbosity = getattr(args, "verbose", 0)
-    if verbosity:
-        logging.basicConfig(level=logging.DEBUG if verbosity > 1 else logging.INFO)
     try:
         if args.command == "stats":
             graph = _load_graph(args.graph, args.features)

@@ -99,7 +99,11 @@ class DelegationTrace:
 
 
 class PathEvaluator:
-    """Memoized discovery evidence and hop evaluations against one store.
+    """The world one unit's discovery reads, with its memoized evidence and hops.
+
+    The evaluator holds the graph, the agent profiles, the trust store and
+    the task vocabulary; discovery and the protocol read them only through
+    it.
 
     Neighbour index: for each node, built lazily from `pair_info` at most
     once, the node's neighbours in `graph.neighbors` order with the
@@ -118,16 +122,19 @@ class PathEvaluator:
     `full_tw` (conservative) and `subset_tw` (aggressive) fall back to
     inference and memoize per (observer, subject, kind), per task on top.
 
-    Invalidation contract: profiles must stay fixed for the evaluator's
-    lifetime. The store may change as long as every written (observer,
-    subject) pair is passed to `invalidate`, as run_delegation does. A
-    value-only write (an existing record updated) drops that pair's hop
-    cache and keeps the index and rows, whose ids and masks it cannot
-    change; a structural write (a record created) also drops the
-    observer's index entry and all of its rows.
+    Invalidation contract: every record written to the store after
+    construction goes through `invalidate`, as run_delegation does.
     """
 
-    def __init__(self, store: TrustStore, tasks: Mapping[int, Task]):
+    def __init__(
+        self,
+        graph: SocialGraph,
+        profiles: Mapping[int, AgentProfile],
+        store: TrustStore,
+        tasks: Mapping[int, Task],
+    ):
+        self.graph = graph
+        self.profiles = profiles
         self.store = store
         self.tasks = tasks
         self._pair: dict = {}
@@ -139,8 +146,10 @@ class PathEvaluator:
     def invalidate(self, observer: int, subject: int, structural: bool = False) -> None:
         """Drop cached hop data after the observer's records about subject changed.
 
-        `structural` marks a newly created record, which also drops the
-        observer's neighbour index entry and evidence rows.
+        A value-only write (an existing record updated) drops that pair's
+        hop cache and keeps the index and rows, whose ids and masks it
+        cannot change. `structural` marks a newly created record, which
+        also drops the observer's neighbour index entry and evidence rows.
         """
         for kind in (SERVICE, RECOMMENDATION):
             key = (observer, subject, kind)
@@ -207,17 +216,17 @@ class PathEvaluator:
             bucket[task.id] = hit
         return hit
 
-    def _neighbour_index(self, graph, profiles, node: int):
+    def _neighbour_index(self, node: int):
         """(recommendation evidence, service evidence) lists of `node`'s neighbours."""
         hit = self._neighbours.get(node)
         if hit is None:
             rec = []
             svc = []
-            for nbr in graph.neighbors(node):
+            for nbr in self.graph.neighbors(node):
                 rec_ids, rec_mask, _ = self.pair_info(node, nbr, RECOMMENDATION)
                 if rec_mask:
                     rec.append((nbr, rec_ids, rec_mask))
-                prof = profiles.get(nbr)
+                prof = self.profiles.get(nbr)
                 if prof is not None and prof.is_trustee:
                     svc_ids, svc_mask, _ = self.pair_info(node, nbr, SERVICE)
                     if svc_mask:
@@ -226,7 +235,7 @@ class PathEvaluator:
             self._neighbours[node] = hit
         return hit
 
-    def evidence_row(self, graph, profiles, method: str, task: Task, node: int):
+    def evidence_row(self, method: str, task: Task, node: int):
         """Evidenced out-edges of `node`: (recommendation targets, service targets).
 
         Evidence is the method's ungated relevance test: the exact task id
@@ -236,7 +245,7 @@ class PathEvaluator:
         rows = self._evidence.setdefault((method, task.id), {})
         hit = rows.get(node)
         if hit is None:
-            rec, svc = self._neighbour_index(graph, profiles, node)
+            rec, svc = self._neighbour_index(node)
             hit = (_evidenced(rec, method, task), _evidenced(svc, method, task))
             rows[node] = hit
         return hit
@@ -347,15 +356,10 @@ def _best_paths(row, hop, trustor: int, task: Task, params: eng.TransitivityPara
     return best
 
 
-def find_potential_trustees(
-    graph: SocialGraph,
-    store: TrustStore,
-    profiles: Mapping[int, AgentProfile],
-    request: DelegationRequest,
-    tasks: Mapping[int, Task],
-    evaluator: Optional[PathEvaluator] = None,
-) -> DiscoveryResult:
+def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest) -> DiscoveryResult:
     """Discover non-blocked potential trustees within max_hops of the trustor.
+
+    The graph, profiles, store and tasks are the evaluator's.
 
     Relevance per method: traditional requires records on the exact task,
     conservative records covering all target characteristics, aggressive
@@ -368,14 +372,13 @@ def find_potential_trustees(
     method = params.method
     task = request.task
     trustor = request.trustor
-    ev = evaluator or PathEvaluator(store, tasks)
     if method == eng.TRADITIONAL:
-        hop = ev.direct_tw
+        hop = evaluator.direct_tw
     elif method == eng.CONSERVATIVE:
-        hop = ev.full_tw
+        hop = evaluator.full_tw
     else:
-        hop = ev.subset_tw
-    row = partial(ev.evidence_row, graph, profiles, method, task)
+        hop = evaluator.subset_tw
+    row = partial(evaluator.evidence_row, method, task)
 
     interrogated = _interrogate(row, trustor, params.max_hops)
     best = _best_paths(row, hop, trustor, task, params)
@@ -437,15 +440,11 @@ def _rank(candidates: Sequence[Candidate]) -> list[Candidate]:
 
 
 def run_delegation(
-    graph: SocialGraph,
-    profiles: Mapping[int, AgentProfile],
-    store: TrustStore,
+    evaluator: PathEvaluator,
     usage_log: UsageLog,
     env: Environment,
     request: DelegationRequest,
     rng,
-    tasks: Mapping[int, Task],
-    evaluator: Optional[PathEvaluator] = None,
 ) -> DelegationTrace:
     """Run the full mutual-evaluation protocol for one request.
 
@@ -453,12 +452,14 @@ def run_delegation(
     evaluation at each; the first acceptor executes the task. Both sides
     then update: the trustor's service record about the trustee (and
     recommendation records along the used paths), the trustee's usage log
-    with the responsive/abusive draw. A caller-owned evaluator is kept
-    coherent by invalidating every record pair this delegation writes.
+    with the responsive/abusive draw. The records are written to the
+    evaluator's store, and every written pair is passed to its `invalidate`.
     """
     task = request.task
     trustor = request.trustor
-    disc = find_potential_trustees(graph, store, profiles, request, tasks, evaluator)
+    profiles = evaluator.profiles
+    store = evaluator.store
+    disc = find_potential_trustees(evaluator, request)
     ranked = _rank(disc.candidates)
     trace = DelegationTrace(
         trustor=trustor,
@@ -492,8 +493,7 @@ def run_delegation(
         record = store.get(observer, subject, task.id, kind)
         base = record or initial_record(request.initial_estimates)
         store.put(observer, subject, task.id, kind, eng.update_estimates(base, outcome, request.update))
-        if evaluator is not None:
-            evaluator.invalidate(observer, subject, structural=record is None)
+        evaluator.invalidate(observer, subject, structural=record is None)
 
     trace.chosen = chosen.node
     trace.outcome = outcome

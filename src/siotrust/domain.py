@@ -162,7 +162,6 @@ class AgentProfile:
     """
 
     node: int
-    is_trustor: bool = False
     is_trustee: bool = False
     competence: Mapping[int, float] = field(default_factory=dict)
     integrity: float = 1.0
@@ -298,6 +297,8 @@ _SCENARIO_RULES = {
     **dict.fromkeys(("disjoint_roles", "use_features"), (bool, None, None)),
 }
 
+_CHAR_COUNTS_WITH_TASKS = "char_counts cannot be combined with explicit tasks"
+
 # Grid fields whose entries each become one result label, so two entries
 # with the same key would write their rows twice. `experiments.label`
 # prints a theta with `:g`, so thetas that print the same are one label.
@@ -406,9 +407,10 @@ class Scenario:
             raise ScenarioError(f"bad task definitions: {exc}") from exc
         self.task_objects()
         # explicit tasks are one grid point; a set field cannot be told from
-        # a defaulted one after `replace`, so any change from the default counts
+        # a defaulted one after `replace`, so any change from the default
+        # counts here, and `load_scenario` rejects the key itself
         if self.tasks and self.char_counts != Scenario.char_counts:
-            raise ScenarioError("char_counts cannot be combined with explicit tasks")
+            raise ScenarioError(_CHAR_COUNTS_WITH_TASKS)
 
     def task_objects(self) -> dict[int, Task]:
         """Validated Task objects for the explicit definitions, by id."""
@@ -466,4 +468,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario file must hold a JSON object")
-    return Scenario.from_dict(data)
+    scenario = Scenario.from_dict(data)
+    if scenario.tasks and "char_counts" in data:
+        raise ScenarioError(_CHAR_COUNTS_WITH_TASKS)
+    return scenario

@@ -202,7 +202,6 @@ def _mutuality_unit(args):
     for node in graph.nodes():
         profiles[node] = AgentProfile(
             node=node,
-            is_trustor=node in integrity,
             is_trustee=node in trustee_set,
             competence={c: competence.get(node, 0.0) for c in task.char_ids},
             integrity=integrity.get(node, 1.0),
@@ -222,7 +221,7 @@ def _mutuality_unit(args):
     params = eng.TransitivityParams(omega1=0.0, omega2=0.0, max_hops=1, method=eng.TRADITIONAL)
     update = eng.UpdateParams.uniform(sc.beta)
     rng_play = random.Random(derive_seed(master, "mutuality-play", run_idx, f"{theta:.6g}"))
-    evaluator = PathEvaluator(store, tasks)
+    evaluator = PathEvaluator(graph, profiles, store, tasks)
 
     requests = successes = unavailable = uses = abusive = 0
     traces = []
@@ -233,8 +232,7 @@ def _mutuality_unit(args):
     ]
     for _ in range(sc.mutuality_rounds):
         for request in round_requests:
-            trace = run_delegation(graph, profiles, store, usage, env, request, rng_play, tasks,
-                                   evaluator=evaluator)
+            trace = run_delegation(evaluator, usage, env, request, rng_play)
             requests += 1
             if trace.chosen is None:
                 unavailable += 1
@@ -420,7 +418,6 @@ def _transitivity_unit(args):
         char_ids = list(range(char_count))
     tasks = {t.id: t for t in pool}
     roles = sample_roles(graph, sc.role_fraction, rng, sc.disjoint_roles)
-    trustor_set = set(roles.trustors)
     trustee_set = set(roles.trustees)
     features = graph.features if sc.use_features else None
 
@@ -437,7 +434,6 @@ def _transitivity_unit(args):
     profiles = {
         n: AgentProfile(
             node=n,
-            is_trustor=n in trustor_set,
             is_trustee=n in trustee_set,
             competence=competence[n],
         )
@@ -464,7 +460,7 @@ def _transitivity_unit(args):
         for x in roles.trustors
     ]
 
-    evaluator = PathEvaluator(store, tasks)
+    evaluator = PathEvaluator(graph, profiles, store, tasks)
     entries = []
     for method in sc.methods:
         params = eng.TransitivityParams(sc.omega1, sc.omega2, sc.max_hops, method)
@@ -472,7 +468,7 @@ def _transitivity_unit(args):
         candidate_total = interrogated_total = 0
         for x, target, u_success in requests:
             request = DelegationRequest(trustor=x, task=target, transitivity=params)
-            disc = find_potential_trustees(graph, store, profiles, request, tasks, evaluator)
+            disc = find_potential_trustees(evaluator, request)
             candidate_total += len(disc.candidates)
             interrogated_total += disc.nodes_interrogated
             if not disc.candidates:
@@ -551,7 +547,7 @@ def _profit_unit(args):
             honest=i not in dishonest,
             cost_multiplier=sc.cost_multiplier,
         )
-    trustor = AgentProfile(node=count, is_trustor=True, integrity=1.0)
+    trustor = AgentProfile(node=count, integrity=1.0)
     update = eng.UpdateParams.uniform(sc.beta)
 
     entries = []

@@ -12,7 +12,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 
 class GraphFormatError(ValueError):
@@ -98,22 +98,14 @@ def build_graph(edge_pairs: Iterable[tuple[int, int]]) -> SocialGraph:
     )
 
 
-def _lines(source: Union[str, bytes]) -> list[str]:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    return source.splitlines()
-
-
-def load_edge_list(source) -> SocialGraph:
-    """Parse a SNAP-style edge list from a string, bytes, or readable stream.
+def load_edge_list(source: str) -> SocialGraph:
+    """Parse a SNAP-style edge list from its text.
 
     Each non-empty, non-comment line must hold exactly two non-negative
     integers. Malformed lines raise GraphFormatError naming the line number.
     """
-    if hasattr(source, "read"):
-        source = source.read()
     pairs = []
-    for lineno, raw in enumerate(_lines(source), start=1):
+    for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -132,18 +124,16 @@ def load_edge_list(source) -> SocialGraph:
     return build_graph(pairs)
 
 
-def load_features(source, graph: SocialGraph) -> SocialGraph:
+def load_features(source: str, graph: SocialGraph) -> SocialGraph:
     """Attach per-node 0/1 feature vectors ("nodeId f1 ... fk" per line).
 
     Node ids refer to the original ids of the edge list. Nodes absent from
     the file get all-zero vectors; unknown ids and ragged rows are errors.
     """
-    if hasattr(source, "read"):
-        source = source.read()
     dense = {orig: i for i, orig in enumerate(graph.original_ids)}
     rows: dict[int, tuple[int, ...]] = {}
     width: Optional[int] = None
-    for lineno, raw in enumerate(_lines(source), start=1):
+    for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

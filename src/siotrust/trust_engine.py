@@ -16,7 +16,6 @@ combination of the aggressive method) live only in
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -33,8 +32,6 @@ from .domain import (
     TrustStore,
     UsageLog,
 )
-
-log = logging.getLogger(__name__)
 
 SUCCESS_ONLY = "success_only"
 FULL_PROFIT = "full_profit"
@@ -81,8 +78,6 @@ class UpdateParams:
 
 def normalize(raw: float) -> float:
     """Affine map of the raw profit range [-2, 1] onto [0, 1], clamped."""
-    if raw < -2.0 or raw > 1.0:
-        log.debug("normalize input %.6g outside [-2, 1]; clamping", raw)
     value = (raw + 2.0) / 3.0
     return min(1.0, max(0.0, value))
 
@@ -135,8 +130,6 @@ def correct_realized(realized: float, min_env: float) -> float:
     if not 0.0 < min_env <= 1.0:
         raise ValueError(f"environment values must be in (0, 1], got {min_env}")
     corrected = realized / min_env
-    if corrected > 1.0:
-        log.debug("environment correction %.6g / %.6g over-performs; clamping", realized, min_env)
     return min(1.0, max(0.0, corrected))
 
 

@@ -2,7 +2,7 @@ from importlib import resources
 
 import pytest
 
-from siotrust.delegation import DelegationRequest, find_potential_trustees
+from siotrust.delegation import DelegationRequest, PathEvaluator, find_potential_trustees
 from siotrust.domain import (
     RECOMMENDATION,
     SERVICE,
@@ -43,9 +43,10 @@ def discover_on(n: int, edges, records, target, tasks, params: TransitivityParam
     store = TrustStore()
     for (observer, subject, task_id, kind), tw in records.items():
         store.put(observer, subject, task_id, kind, tw_record(tw))
-    profiles = {v: AgentProfile(node=v, is_trustor=v == 0, is_trustee=True) for v in range(n)}
+    profiles = {v: AgentProfile(node=v, is_trustee=True) for v in range(n)}
     request = DelegationRequest(trustor=0, task=target, transitivity=params)
-    disc = find_potential_trustees(make_graph(n, edges), store, profiles, request, tasks)
+    evaluator = PathEvaluator(make_graph(n, edges), profiles, store, tasks)
+    disc = find_potential_trustees(evaluator, request)
     return {c.node: c for c in disc.candidates}
 
 

@@ -136,26 +136,36 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     def test_char_counts_with_explicit_tasks_rejected(self, capsys, tmp_path):
-        scenario_path = tmp_path / "s.json"
-        scenario_path.write_text(json.dumps({"tasks": [[0, [[0, 1.0]]], [1, [[1, 1.0]]]]}))
-        code, _, err = run_cli(capsys, "transitivity", "--scenario", str(scenario_path),
-                               "--characteristics", "4,5", "--runs", "1",
-                               "--out", str(tmp_path / "out"))
-        assert code == 1
-        assert err.startswith("error: char_counts")
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        two_tasks = {"tasks": [[0, [[0, 1.0]]], [1, [[1, 1.0]]]]}
+        default_grid = list(Scenario.char_counts)
+        # a grid equal to the default is rejected too: set is not the same as defaulted
+        for scenario, flags in (
+            (two_tasks, ["--characteristics", "4,5"]),
+            (two_tasks, ["--characteristics", ",".join(map(str, default_grid))]),
+            ({"tasks": [[0, [[0, 1.0]]]], "char_counts": default_grid}, []),
+        ):
+            scenario_path = tmp_path / "s.json"
+            scenario_path.write_text(json.dumps(scenario))
+            code, _, err = run_cli(capsys, "transitivity", "--scenario", str(scenario_path),
+                                   *flags, "--runs", "1", "--out", str(tmp_path / "out"))
+            assert code == 1, (scenario, flags)
+            assert err.startswith("error: char_counts")
+            assert "Traceback" not in err
+            assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command,scenario,field", [
-        ("profit", {"cost_multiplier": -1}, "cost_multiplier"),
-        ("environment", {"env_initial_s": 5}, "env_initial_s"),
-    ], ids=["profit-negative-cost-multiplier", "environment-initial-s-above-1"])
+    @pytest.mark.parametrize("command,scenario,flags,field", [
+        ("profit", {"cost_multiplier": -1}, [], "cost_multiplier"),
+        ("environment", {"env_initial_s": 5}, [], "env_initial_s"),
+        ("environment", {}, ["--jobs", "0"], "--jobs"),
+        ("environment", {}, ["--jobs", "-4"], "--jobs"),
+    ], ids=["profit-negative-cost-multiplier", "environment-initial-s-above-1",
+            "environment-jobs-0", "environment-jobs-negative"])
     def test_out_of_range_rejected_naming_field(self, capsys, tmp_path, command, scenario,
-                                                field):
+                                                flags, field):
         scenario_path = tmp_path / "s.json"
         scenario_path.write_text(json.dumps(scenario))
         code, _, err = run_cli(capsys, command, "--scenario", str(scenario_path), "--runs", "1",
-                               "--iterations", "2", "--out", str(tmp_path / "out"))
+                               "--iterations", "2", *flags, "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith(f"error: {field}")
         assert "Traceback" not in err

@@ -47,7 +47,7 @@ def star_world(theta=0.0, trustee_count=3, s_hat=0.9):
     task = make_task(0, [(0, 1.0)])
     tasks = {0: task}
     store = TrustStore()
-    profiles = {0: AgentProfile(node=0, is_trustor=True, integrity=1.0, competence={0: 1.0})}
+    profiles = {0: AgentProfile(node=0, integrity=1.0, competence={0: 1.0})}
     for t in range(1, trustee_count + 1):
         profiles[t] = AgentProfile(
             node=t, is_trustee=True, competence={0: 1.0}, default_threshold=theta)
@@ -66,16 +66,16 @@ class TestDiscovery:
         graph, store, profiles, task, tasks = star_world(trustee_count=1)
         for method in ("traditional", "conservative", "aggressive"):
             req = request_for(task, method=method, max_hops=3, omega=0.6)
-            disc = find_potential_trustees(graph, store, profiles, req, tasks)
+            disc = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks), req)
             assert [c.node for c in disc.candidates] == [1]
 
     def test_no_records_unavailable(self):
         graph = make_graph(3, [(0, 1), (1, 2)])
         task = make_task(0, [(0, 1.0)])
-        profiles = {n: AgentProfile(node=n, is_trustor=n == 0, is_trustee=n > 0,
+        profiles = {n: AgentProfile(node=n, is_trustee=n > 0,
                                     competence={0: 1.0}) for n in range(3)}
-        disc = find_potential_trustees(graph, TrustStore(), profiles,
-                                       request_for(task, max_hops=3), {0: task})
+        evaluator = PathEvaluator(graph, profiles, TrustStore(), {0: task})
+        disc = find_potential_trustees(evaluator, request_for(task, max_hops=3))
         assert disc.candidates == ()
 
     def test_split_characteristics_only_aggressive_reaches(self):
@@ -93,32 +93,32 @@ class TestDiscovery:
         store.put(1, 4, 1, SERVICE, svc)
         store.put(0, 2, 2, RECOMMENDATION, rec)
         store.put(2, 4, 2, SERVICE, svc)
-        profiles = {n: AgentProfile(node=n, is_trustor=n == 0, is_trustee=n == 4,
+        profiles = {n: AgentProfile(node=n, is_trustee=n == 4,
                                     competence={0: 1.0, 1: 1.0}) for n in range(5)}
         for method, expected in (("traditional", []), ("conservative", []), ("aggressive", [4])):
             req = request_for(target, method=method, max_hops=3, omega=0.6)
-            disc = find_potential_trustees(graph, store, profiles, req, tasks)
+            disc = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks), req)
             assert [c.node for c in disc.candidates] == expected, method
         req = request_for(target, method="aggressive", max_hops=3, omega=0.6)
-        disc = find_potential_trustees(graph, store, profiles, req, tasks)
+        disc = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks), req)
         cand = disc.candidates[0]
         assert cand.char_paths == {0: (0, 1, 4), 1: (0, 2, 4)}
         assert abs(cand.trust - 0.74) < 1e-12
 
     def test_interrogated_includes_candidates(self):
         graph, store, profiles, task, tasks = star_world()
-        disc = find_potential_trustees(graph, store, profiles, request_for(task), tasks)
+        disc = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks), request_for(task))
         assert {c.node for c in disc.candidates} <= set(disc.interrogated)
 
     def test_evaluator_freed_without_cycle_collection(self):
         # a cycle left by discovery would keep a finished unit's evaluator,
         # and through it the unit's whole store, alive until a gen-2 collection
         graph, store, profiles, task, tasks = star_world()
-        ev = PathEvaluator(store, tasks)
+        ev = PathEvaluator(graph, profiles, store, tasks)
         ref = weakref.ref(ev)
         gc.disable()
         try:
-            find_potential_trustees(graph, store, profiles, request_for(task, max_hops=3), tasks, ev)
+            find_potential_trustees(ev, request_for(task, max_hops=3))
             del ev
             assert ref() is None
         finally:
@@ -128,7 +128,7 @@ class TestDiscovery:
 class TestSampleOutcome:
     def test_effective_probability_scales_with_environment(self):
         # competence 0.8 times the worst environment 0.4 gives 0.32
-        trustor = AgentProfile(node=0, is_trustor=True, integrity=1.0)
+        trustor = AgentProfile(node=0, integrity=1.0)
         trustee = AgentProfile(node=1, is_trustee=True, competence={0: 0.8})
         task = make_task(0, [(0, 1.0)])
         env = Environment(values={0: 0.4, 1: 0.4})
@@ -137,7 +137,7 @@ class TestSampleOutcome:
             assert outcome.success is success
 
     def test_perfect_competence_ideal_env_always_succeeds(self):
-        trustor = AgentProfile(node=0, is_trustor=True, integrity=1.0)
+        trustor = AgentProfile(node=0, integrity=1.0)
         trustee = AgentProfile(node=1, is_trustee=True, competence={0: 1.0})
         task = make_task(0, [(0, 1.0)])
         rng = random.Random(0)
@@ -146,7 +146,7 @@ class TestSampleOutcome:
             assert outcome.success
 
     def test_cost_inflation_attack(self):
-        trustor = AgentProfile(node=0, is_trustor=True)
+        trustor = AgentProfile(node=0)
         trustee = AgentProfile(node=1, is_trustee=True, competence={0: 1.0},
                                cost=0.2, honest=False, cost_multiplier=3.0)
         task = make_task(0, [(0, 1.0)])
@@ -154,7 +154,7 @@ class TestSampleOutcome:
         assert abs(outcome.cost - 0.6) < 1e-12
 
     def test_honest_trustee_ignores_multiplier(self):
-        trustor = AgentProfile(node=0, is_trustor=True)
+        trustor = AgentProfile(node=0)
         trustee = AgentProfile(node=1, is_trustee=True, competence={0: 1.0},
                                cost=0.2, honest=True, cost_multiplier=3.0)
         task = make_task(0, [(0, 1.0)])
@@ -162,7 +162,7 @@ class TestSampleOutcome:
         assert outcome.cost == 0.2
 
     def test_env_snapshot_records_path(self):
-        trustor = AgentProfile(node=0, is_trustor=True)
+        trustor = AgentProfile(node=0)
         trustee = AgentProfile(node=3, is_trustee=True, competence={0: 1.0})
         env = Environment(values={0: 1.0, 3: 0.9, 7: 0.5})
         task = make_task(0, [(0, 1.0)])
@@ -170,7 +170,7 @@ class TestSampleOutcome:
         assert outcome.env_snapshot == (1.0, 0.9, 0.5)
 
     def test_binomial_convergence(self):
-        trustor = AgentProfile(node=0, is_trustor=True, integrity=1.0)
+        trustor = AgentProfile(node=0, integrity=1.0)
         trustee = AgentProfile(node=1, is_trustee=True, competence={0: 0.7})
         task = make_task(0, [(0, 1.0)])
         rng = random.Random(42)
@@ -187,8 +187,8 @@ class TestRunDelegation:
     def run_one(self, theta=0.0, seed=1, usage=None, trustee_count=3):
         graph, store, profiles, task, tasks = star_world(theta=theta, trustee_count=trustee_count)
         usage = usage if usage is not None else UsageLog()
-        trace = run_delegation(graph, profiles, store, usage, Environment(),
-                               request_for(task), random.Random(seed), tasks)
+        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage, Environment(),
+                               request_for(task), random.Random(seed))
         return trace, store, usage
 
     def test_single_honest_candidate_delegates_and_updates(self):
@@ -203,8 +203,8 @@ class TestRunDelegation:
         usage = UsageLog()
         usage.seed(1, 0, 0, 8)  # first-ranked trustee has seen only abuse
         graph, store, profiles, task, tasks = star_world(theta=0.3)
-        trace = run_delegation(graph, profiles, store, usage, Environment(),
-                               request_for(task), random.Random(1), tasks)
+        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage, Environment(),
+                               request_for(task), random.Random(1))
         assert trace.rejections and trace.rejections[0][0] == 1
         assert trace.chosen == 2
 
@@ -225,10 +225,10 @@ class TestRunDelegation:
 
     def test_abusive_draw_recorded_in_log(self):
         graph, store, profiles, task, tasks = star_world()
-        profiles[0] = AgentProfile(node=0, is_trustor=True, integrity=0.0, competence={0: 1.0})
+        profiles[0] = AgentProfile(node=0, integrity=0.0, competence={0: 1.0})
         usage = UsageLog()
-        trace = run_delegation(graph, profiles, store, usage, Environment(),
-                               request_for(task), random.Random(1), tasks)
+        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage, Environment(),
+                               request_for(task), random.Random(1))
         assert trace.outcome.abusive
         assert usage.counts(trace.chosen, 0) == (0, 1)
 
@@ -240,13 +240,13 @@ class TestRunDelegation:
         store.put(0, 1, 0, RECOMMENDATION, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
         store.put(1, 2, 0, SERVICE, TrustRecord(0.8, 1.0, 1.0, 0.0, 1))
         profiles = {
-            0: AgentProfile(node=0, is_trustor=True, integrity=1.0),
+            0: AgentProfile(node=0, integrity=1.0),
             1: AgentProfile(node=1),
             2: AgentProfile(node=2, is_trustee=True, competence={0: 1.0}),
         }
         req = request_for(task, method="conservative", max_hops=2, omega=0.0)
-        trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
-                               req, random.Random(3), tasks)
+        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), UsageLog(),
+                               Environment(), req, random.Random(3))
         assert trace.chosen == 2
         rec = store.get(0, 1, 0, RECOMMENDATION)
         assert rec.interaction_count == 2
@@ -263,7 +263,8 @@ class TestRunDelegation:
         for _ in range(400):
             fresh = TrustStore()
             fresh.put(0, 1, 0, SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
-            trace = run_delegation(graph, profiles, fresh, UsageLog(), env, req, rng, tasks)
+            trace = run_delegation(PathEvaluator(graph, profiles, fresh, tasks), UsageLog(), env,
+                                   req, rng)
             hits += trace.outcome.success
             assert trace.outcome.env_snapshot == (0.25, 0.25)
         assert abs(hits / 400 - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 400)
@@ -289,34 +290,33 @@ class TestEvaluatorCoherence:
         store.put(1, 2, 0, SERVICE, svc)
         store.put(0, 3, 2, RECOMMENDATION, rec)
         store.put(3, 4, 0, SERVICE, svc)
-        profiles = {n: AgentProfile(node=n, is_trustor=n == 0, is_trustee=n in (2, 3, 4),
+        profiles = {n: AgentProfile(node=n, is_trustee=n in (2, 3, 4),
                                     integrity=1.0, competence={0: 1.0, 1: 1.0})
                     for n in range(5)}
         return graph, store, profiles, target, tasks
 
     def test_reused_evaluator_matches_fresh_after_each_delegation(self):
         graph, store, profiles, target, tasks = self.world()
-        ev = PathEvaluator(store, tasks)
+        ev = PathEvaluator(graph, profiles, store, tasks)
         usage = UsageLog()
         rng = random.Random(1)
-        row_before = ev.evidence_row(graph, profiles, eng.TRADITIONAL, target, 0)
+        row_before = ev.evidence_row(eng.TRADITIONAL, target, 0)
         assert row_before == ((), ())
         for step, method in enumerate(("conservative", "traditional", "aggressive", "conservative")):
-            trace = run_delegation(graph, profiles, store, usage, Environment(),
-                                   request_for(target, method=method, max_hops=3), rng, tasks,
-                                   evaluator=ev)
+            trace = run_delegation(ev, usage, Environment(),
+                                   request_for(target, method=method, max_hops=3), rng)
             assert trace.chosen == 2
             if step == 0:
                 # structural: the delegation created 0's records about 1 and 2
                 assert store.get(0, 1, 0, RECOMMENDATION) is not None
-                assert ev.evidence_row(graph, profiles, eng.TRADITIONAL, target, 0) == ((1,), (2,))
+                assert ev.evidence_row(eng.TRADITIONAL, target, 0) == ((1,), (2,))
             # value-only from step 1 on: the service record about 2 is updated
             assert store.get(0, 2, 0, SERVICE).interaction_count == step + 1
             for m in self.METHODS:
                 request = request_for(target, method=m, max_hops=3)
-                reused = find_potential_trustees(graph, store, profiles, request, tasks, ev)
-                fresh = find_potential_trustees(graph, store, profiles, request, tasks,
-                                                PathEvaluator(store, tasks))
+                reused = find_potential_trustees(ev, request)
+                fresh = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks),
+                                                request)
                 assert reused == fresh, (step, m)
                 assert reused.candidates
 
@@ -324,16 +324,16 @@ class TestEvaluatorCoherence:
 class TestDeterminism:
     def run_sequence(self, seed):
         graph, store, profiles, task, tasks = star_world(theta=0.3)
-        profiles[0] = AgentProfile(node=0, is_trustor=True, integrity=0.5, competence={0: 1.0})
+        profiles[0] = AgentProfile(node=0, integrity=0.5, competence={0: 1.0})
         for t in (1, 2, 3):
             profiles[t] = AgentProfile(node=t, is_trustee=True, competence={0: 0.6},
                                        default_threshold=0.3)
         usage = UsageLog()
         rng = random.Random(seed)
         lines = []
+        evaluator = PathEvaluator(graph, profiles, store, tasks)
         for _ in range(40):
-            trace = run_delegation(graph, profiles, store, usage, Environment(),
-                                   request_for(task), rng, tasks)
+            trace = run_delegation(evaluator, usage, Environment(), request_for(task), rng)
             lines.append(trace.to_dict())
         return lines
 
@@ -345,8 +345,8 @@ class TestDeterminism:
 
     def test_trace_json_round_trips(self, tmp_path):
         graph, store, profiles, task, tasks = star_world()
-        trace = run_delegation(graph, profiles, store, UsageLog(), Environment(),
-                               request_for(task), random.Random(1), tasks)
+        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), UsageLog(),
+                               Environment(), request_for(task), random.Random(1))
         path = tmp_path / "trace.ndjson"
         write_trace_log([trace.to_dict()], path)
         data = json.loads(path.read_text())

@@ -65,13 +65,6 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match="empty"):
             load_edge_list("# only comments\n")
 
-    def test_accepts_bytes_and_streams(self, tmp_path):
-        assert load_edge_list(b"0 1\n").edge_count == 1
-        p = tmp_path / "g.edges"
-        p.write_text("0 1\n2 1\n")
-        with open(p) as fh:
-            assert load_edge_list(fh).edge_count == 2
-
     def test_round_trip_idempotent(self):
         rng = random.Random(7)
         for _ in range(20):

@@ -15,7 +15,7 @@ import random
 import pytest
 
 import siotrust.trust_engine as eng
-from siotrust.delegation import DelegationRequest, find_potential_trustees
+from siotrust.delegation import DelegationRequest, PathEvaluator, find_potential_trustees
 from siotrust.domain import (
     RECOMMENDATION,
     SERVICE,
@@ -216,7 +216,7 @@ def random_instance(seed):
     if not trustees:
         trustees = [n - 1]
     profiles = {
-        node: AgentProfile(node=node, is_trustor=True, is_trustee=node in trustees,
+        node: AgentProfile(node=node, is_trustee=node in trustees,
                            competence={c: rng.random() for c in range(n_chars)})
         for node in graph.nodes()
     }
@@ -236,7 +236,7 @@ def discover(graph, store, profiles, trustor, target, params, tasks, method):
         trustor=trustor, task=target,
         transitivity=eng.TransitivityParams(params.omega1, params.omega2, params.max_hops, method),
     )
-    return find_potential_trustees(graph, store, profiles, request, tasks)
+    return find_potential_trustees(PathEvaluator(graph, profiles, store, tasks), request)
 
 
 # ---------------------------------------------------------------------------
