@@ -126,9 +126,8 @@ def _series(agg: dict, param: str, name: str, length: int, legend: str) -> Serie
                   tuple(agg[param][series_metric(name, i)] for i in range(length)))
 
 
-def _plots_for(which: str, rows: list[MetricsRow], scenario: Scenario) -> list[tuple]:
+def _plots_for(which: str, rows: list[MetricsRow], agg: dict, scenario: Scenario) -> list[tuple]:
     """(filename stem, title, x label, y label, series list) per plot."""
-    agg = _aggregates(rows)
     if which == "mutuality":
         thetas = scenario.theta_grid
         series = [
@@ -186,8 +185,7 @@ def _plots_for(which: str, rows: list[MetricsRow], scenario: Scenario) -> list[t
     return []
 
 
-def _headline(which: str, rows, scenario: Scenario) -> str:
-    agg = _aggregates(rows)
+def _headline(which: str, agg: dict, scenario: Scenario) -> str:
     if which == "mutuality":
         return " ".join(f"abuse[{t:g}]={agg[label(theta=t)]['abuse_rate']:.3f}"
                         for t in scenario.theta_grid)
@@ -230,10 +228,11 @@ def _run_experiments(names, args) -> int:
         rows = run_experiment_rows(spec, graph, jobs=args.jobs, trace_sink=trace_sink)
         elapsed = time.perf_counter() - started
 
+        agg = _aggregates(rows)
         metrics_path = out_dir / f"metrics_{which}.csv"
         write_metrics(rows, metrics_path)
         plot_files = []
-        for stem, title, xlabel, ylabel, series in _plots_for(which, rows, scenario):
+        for stem, title, xlabel, ylabel, series in _plots_for(which, rows, agg, scenario):
             plot_path = out_dir / f"plot_{stem}.svg"
             write_plot(series, plot_path, title=title, x_label=xlabel, y_label=ylabel)
             plot_files.append(plot_path.name)
@@ -243,9 +242,9 @@ def _run_experiments(names, args) -> int:
             "runs": spec.effective_runs,
             "metrics": metrics_path.name,
             "plots": plot_files,
-            "aggregates": _aggregates(rows),
+            "aggregates": agg,
         }
-        line = _headline(which, rows, scenario)
+        line = _headline(which, agg, scenario)
         print(f"{which}: runs={spec.effective_runs} {line} -> {metrics_path} ({elapsed:.1f}s)")
     write_summary(summary, out_dir / "summary.json")
     return 0

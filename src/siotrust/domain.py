@@ -109,6 +109,9 @@ class TrustRecord:
     interaction_count: int = 0
 
     def __post_init__(self):
+        if (0.0 <= self.s_hat <= 1.0 and 0.0 <= self.g_hat <= 1.0 and 0.0 <= self.d_hat <= 1.0
+                and 0.0 <= self.c_hat <= 1.0 and self.interaction_count >= 0):
+            return  # all valid; otherwise the checks below name the first bad field
         _check_unit("s_hat", self.s_hat)
         _check_unit("g_hat", self.g_hat)
         _check_unit("d_hat", self.d_hat)
@@ -248,6 +251,11 @@ class DelegationOutcome:
     env_snapshot: tuple[float, ...] = (1.0, 1.0)
 
     def __post_init__(self):
+        snap = self.env_snapshot
+        if (0.0 <= self.gain <= 1.0 and 0.0 <= self.damage <= 1.0 and 0.0 <= self.cost <= 1.0
+                and (self.damage if self.success else self.gain) == 0.0
+                and len(snap) == 2 and 0.0 < snap[0] <= 1.0 and 0.0 < snap[1] <= 1.0):
+            return  # valid, with no intermediates; otherwise the checks below run
         _check_unit("gain", self.gain)
         _check_unit("damage", self.damage)
         _check_unit("cost", self.cost)

@@ -10,6 +10,7 @@ points differ only in the parameter under study.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -131,9 +132,36 @@ def char_grid(scenario: Scenario) -> tuple[int, ...]:
     return scenario.char_counts
 
 
+# 2 x 53 mantissa bits + 3: an integer root this wide, rounded to odd, rounds
+# to the same float as the exact root
+_ROOT_BITS = 109
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """The square root of num / den (num >= 0, den > 0), correctly rounded."""
+    shift = (num.bit_length() - den.bit_length() - _ROOT_BITS) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd: an inexact root gets its last bit set
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def _mean_std(experiment: str, param: str, metric: str, values) -> tuple[MetricsRow, MetricsRow]:
+    """The mean and the exact population std (what `statistics.pstdev` returns).
+
+    Each value is n / d with d a power of two, so over the largest d the
+    values are integers N and the variance is (k·ΣN² − (ΣN)²) / (k·d)².
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    nums = [n * (den // d) for n, d in ratios]
+    k, total = len(nums), sum(nums)
+    std = _sqrt_of_ratio(k * sum(n * n for n in nums) - total * total, (k * den) ** 2)
     return (MetricsRow(experiment, param, AGGREGATE, metric, statistics.fmean(values)),
-            MetricsRow(experiment, param, AGGREGATE, metric + "_std", statistics.pstdev(values)))
+            MetricsRow(experiment, param, AGGREGATE, metric + "_std", std))
 
 
 def _drive(
@@ -324,6 +352,9 @@ def _inference_unit(args):
             store.put(x, t, CLEAN_TASK, SERVICE, rec_b)
 
     rng_pick = random.Random(derive_seed(master, "inference-pick", rep))
+    # every trustor holds the same frozen pair seeded[t] about trustee t, so
+    # its trust in t for the target depends on t alone: infer it once per t
+    trust_in: dict[int, Optional[float]] = {}
     with_honest = without_honest = participants = 0
     for x in roles.trustors:
         cands = [t for t in graph.neighbors(x) if t in trustee_set]
@@ -332,7 +363,9 @@ def _inference_unit(args):
         participants += 1
         scored = []
         for t in cands:
-            tw = eng.task_trust(store, x, t, target, SERVICE, tasks)
+            if t not in trust_in:
+                trust_in[t] = eng.task_trust(store, x, t, target, SERVICE, tasks)
+            tw = trust_in[t]
             if tw is not None:
                 scored.append((t, tw))
         if scored:

@@ -363,7 +363,7 @@ class TestScenarioFuzz:
 
 class TestPlots:
     def test_series_read_by_index_from_aggregates(self):
-        from siotrust.cli import _plots_for
+        from siotrust.cli import _aggregates, _plots_for
         from siotrust.domain import Scenario
         from siotrust.experiments import AGGREGATE, MetricsRow
         rows = []
@@ -377,7 +377,7 @@ class TestPlots:
             ]
         rows.append(MetricsRow("environment", "regime=corrected", 0, "s_hat[000]", 0.5))
         scenario = Scenario(env_values=(1.0,), env_epoch_length=2)
-        [(stem, _, _, _, series)] = _plots_for("environment", rows, scenario)
+        [(stem, _, _, _, series)] = _plots_for("environment", rows, _aggregates(rows), scenario)
         assert stem == "environment"
         assert [s.name for s in series] == ["baseline", "uncorrected", "corrected"]
         assert series[2].xs == (0.0, 1.0)

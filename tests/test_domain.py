@@ -187,6 +187,66 @@ class TestDelegationOutcome:
             DelegationOutcome(success=True, gain=0.5, damage=0.0, cost=0.1, env_snapshot=(1.0, 0.0))
 
 
+NAN = float("nan")
+RECORD_FIELDS = ("s_hat", "g_hat", "d_hat", "c_hat")
+# (field, success): each unit-range outcome field is set on an outcome that is
+# otherwise valid, so damage goes on a failure and gain on a success
+OUTCOME_FIELDS = (("gain", True), ("damage", False), ("cost", True), ("cost", False))
+
+
+def _bad_record(name, value):
+    values = dict.fromkeys(RECORD_FIELDS, 0.5)
+    values[name] = value
+    return lambda: TrustRecord(**values, interaction_count=1)
+
+
+def _bad_outcome(name, value, success):
+    values = {"gain": 0.5 if success else 0.0, "damage": 0.0 if success else 0.5, "cost": 0.1}
+    values[name] = value
+    return lambda: DelegationOutcome(success=success, **values)
+
+
+def _bad_snapshot(snapshot):
+    return lambda: DelegationOutcome(success=True, gain=0.5, damage=0.0, cost=0.1,
+                                     env_snapshot=snapshot)
+
+
+# every message as the per-field checks word it
+VALIDATION_CASES = [
+    *((f"{name}={value}", _bad_record(name, value), f"{name} must be in [0, 1], got {value}")
+      for name in RECORD_FIELDS for value in (-0.1, 1.5, NAN)),
+    ("interaction_count=-1", lambda: TrustRecord(0.5, 0.5, 0.5, 0.5, interaction_count=-1),
+     "interaction_count must be >= 0"),
+    *((f"{name}={value},success={success}", _bad_outcome(name, value, success),
+       f"{name} must be in [0, 1], got {value}")
+      for name, success in OUTCOME_FIELDS for value in (-0.1, 1.5, NAN)),
+    ("damage on success", lambda: DelegationOutcome(success=True, gain=0.5, damage=0.2, cost=0.1),
+     "successful delegation must have zero damage"),
+    ("gain on failure", lambda: DelegationOutcome(success=False, gain=0.5, damage=0.2, cost=0.1),
+     "failed delegation must have zero gain"),
+    ("empty snapshot", _bad_snapshot(()), "env_snapshot needs trustor and trustee entries"),
+    ("one-entry snapshot", _bad_snapshot((1.0,)), "env_snapshot needs trustor and trustee entries"),
+    *((f"snapshot {snapshot}", _bad_snapshot(snapshot),
+       f"env snapshot values must be in (0, 1], got {value}")
+      for value in (0.0, -0.5, 1.5, NAN)
+      for snapshot in ((value, 1.0), (1.0, value), (1.0, 0.7, value))),
+]
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize("build, message", [case[1:] for case in VALIDATION_CASES],
+                             ids=[case[0] for case in VALIDATION_CASES])
+    def test_invalid_value_message(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_boundaries_accepted(self):
+        TrustRecord(0.0, 1.0, 0.0, 1.0, interaction_count=0)
+        DelegationOutcome(success=True, gain=1.0, damage=0.0, cost=1.0, env_snapshot=(1.0, 1e-300))
+        DelegationOutcome(success=False, gain=0.0, damage=1.0, cost=0.0, env_snapshot=(1.0, 0.5, 1.0))
+
+
 class TestScenario:
     def test_defaults_valid(self):
         sc = Scenario()

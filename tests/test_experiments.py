@@ -2,15 +2,20 @@ import random
 import statistics
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import siotrust.trust_engine as eng
 from siotrust import experiments
 from siotrust.delegation import sample_outcome
 from siotrust.domain import (
+    SERVICE,
     AgentProfile,
     Environment,
     Scenario,
     ScenarioError,
+    TrustRecord,
+    TrustStore,
     initial_record,
     make_task,
 )
@@ -24,6 +29,7 @@ from siotrust.experiments import (
     exp_transitivity,
     run_experiment_rows,
 )
+from siotrust.graph import sample_roles
 from siotrust.seeds import derive_seed
 
 
@@ -106,6 +112,54 @@ class TestInference:
         a = exp_inference(syn50_graph, Scenario(), runs=3, master_seed=2)
         b = exp_inference(syn50_graph, Scenario(), runs=3, master_seed=2)
         assert a == b
+
+
+def reference_inference(graph, sc, rep, master):
+    """The inference unit with `task_trust` evaluated for every (trustor, candidate) pair.
+
+    Every pair gets records of its own, so nothing here relies on trust in a
+    trustee being the same for all of its trustors.
+    """
+    rng = random.Random(derive_seed(master, "inference-state", rep))
+    roles = sample_roles(graph, sc.role_fraction, rng, sc.disjoint_roles)
+    dishonest = set(rng.sample(roles.trustees, round(sc.dishonest_fraction * len(roles.trustees))))
+    competence = {t: (0.5 + 0.5 * rng.random(), 0.5 + 0.5 * rng.random()) for t in roles.trustees}
+    target = make_task(experiments.TARGET_TASK, [(0, 0.5), (1, 0.5)])
+    tasks = {experiments.TAINTED_TASK: make_task(experiments.TAINTED_TASK, [(0, 1.0)]),
+             experiments.CLEAN_TASK: make_task(experiments.CLEAN_TASK, [(1, 1.0)]),
+             target.id: target}
+    trustees = set(roles.trustees)
+    cands = {x: [t for t in graph.neighbors(x) if t in trustees] for x in roles.trustors}
+    store = TrustStore()
+    for x in roles.trustors:
+        for t in cands[x]:
+            tainted = competence[t][0] * (sc.taint_penalty if t in dishonest else 1.0)
+            store.put(x, t, experiments.TAINTED_TASK, SERVICE, TrustRecord(tainted, 1.0, 1.0, 0.0, 1))
+            store.put(x, t, experiments.CLEAN_TASK, SERVICE, TrustRecord(competence[t][1], 1.0, 1.0, 0.0, 1))
+    rng_pick = random.Random(derive_seed(master, "inference-pick", rep))
+    honest_with = honest_without = participants = 0
+    for x in roles.trustors:
+        if not cands[x]:
+            continue
+        participants += 1
+        scored = [(t, tw) for t in cands[x]
+                  if (tw := eng.task_trust(store, x, t, target, SERVICE, tasks)) is not None]
+        best = sorted(scored, key=lambda pair: (-pair[1], pair[0]))[0][0] if scored else cands[x][0]
+        honest_with += best not in dishonest
+        honest_without += rng_pick.choice(cands[x]) not in dishonest
+    w, wo = honest_with / participants, honest_without / participants
+    return {"with_inference": w, "without_inference": wo, "improvement_pp": 100.0 * (w - wo)}
+
+
+class TestInferenceOracle:
+    @pytest.mark.parametrize("dishonest_fraction", [0.0, 0.5, 1.0])
+    def test_unit_matches_per_pair_reference(self, syn50_graph, dishonest_fraction):
+        sc = Scenario(dishonest_fraction=dishonest_fraction)
+        for rep in range(4):
+            entries, traces = experiments._inference_unit((syn50_graph, sc, rep, 3))
+            assert entries == [(experiments.SELECTION, rep,
+                                reference_inference(syn50_graph, sc, rep, 3), {})]
+            assert traces == []
 
 
 class TestTransitivity:
@@ -288,6 +342,29 @@ class TestDriver:
         }
         assert len(rows) == 9
         assert sink == ["trace0", "trace1", "trace2"]
+
+
+STD_VALUES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-9, 1e-9),
+    st.sampled_from([0.0, 0.1, -0.1, 1.0, 5e-324, -5e-324]),
+    st.floats(-1e300, 1e300),  # wide, yet far enough from overflow for the mean
+)
+
+
+class TestStd:
+    @settings(max_examples=500)
+    @example([0.7])
+    @example([5e-324])
+    @example([0.1] * 9)
+    @example([5e-324, 0.0])
+    @example([0.1, 0.1, -0.3, 0.1, -0.3])
+    @example([1e-9, -2e-9, 3e-9])
+    @given(st.lists(STD_VALUES, min_size=1, max_size=100))
+    def test_matches_pstdev_bit_for_bit(self, values):
+        mean, std = experiments._mean_std("demo", "x=1", "m", values)
+        assert std.metric == "m_std"
+        assert std.value == statistics.pstdev(values)
 
 
 class TestLabels:
