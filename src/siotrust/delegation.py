@@ -14,6 +14,7 @@ the rng state.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -96,6 +97,10 @@ class DelegationTrace:
                 "env": list(self.outcome.env_snapshot),
             }
         return out
+
+    def to_line(self) -> str:
+        """The trace log's NDJSON line for this delegation, without its newline."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 class PathEvaluator:
@@ -416,7 +421,9 @@ def sample_outcome(
     Dishonest trustees inflate the realized cost by their scripted
     multiplier. Draw order is fixed: success first, then abuse.
     """
-    snapshot = (env.at(trustor.node), env.at(trustee.node), *(env.at(i) for i in intermediates))
+    snapshot = (env.at(trustor.node), env.at(trustee.node))
+    if intermediates:
+        snapshot += tuple(env.at(i) for i in intermediates)
     success = rng.random() < trustee.task_competence(task) * min(snapshot)
     abusive = rng.random() >= trustor.integrity
     cost = trustee.cost if trustee.honest else min(1.0, trustee.cost * trustee.cost_multiplier)

@@ -177,7 +177,8 @@ def _drive(
     series). A scalar metric gets one row per run, plus a mean and a `_std`
     (population std) row over the runs of its label. A series, one value per
     step, gets only that aggregate pair at every step, named `name[iii]`.
-    Traces extend `trace_sink` in unit order.
+    Traces, one serialized trace-log line each, extend `trace_sink` in unit
+    order.
     """
     rows: list[MetricsRow] = []
     scalars: dict[str, dict[str, list[float]]] = {}
@@ -271,7 +272,7 @@ def _mutuality_unit(args):
                 if trace.outcome.abusive:
                     abusive += 1
             if want_traces:
-                traces.append(trace.to_dict())
+                traces.append(trace.to_line())
 
     metrics = {
         "success_rate": successes / requests,
@@ -342,18 +343,11 @@ def _inference_unit(args):
             TrustRecord(competence[t][1], 1.0, 1.0, 0.0, 1))
         for t in roles.trustees
     }
-    store = TrustStore()
-    for x in roles.trustors:
-        for t in graph.neighbors(x):
-            if t not in trustee_set:
-                continue
-            rec_a, rec_b = seeded[t]
-            store.put(x, t, TAINTED_TASK, SERVICE, rec_a)
-            store.put(x, t, CLEAN_TASK, SERVICE, rec_b)
-
     rng_pick = random.Random(derive_seed(master, "inference-pick", rep))
     # every trustor holds the same frozen pair seeded[t] about trustee t, so
-    # its trust in t for the target depends on t alone: infer it once per t
+    # its trust in t for the target depends on t alone: infer it once per t,
+    # and store the pair only for the trustor that infers it
+    store = TrustStore()
     trust_in: dict[int, Optional[float]] = {}
     with_honest = without_honest = participants = 0
     for x in roles.trustors:
@@ -364,6 +358,9 @@ def _inference_unit(args):
         scored = []
         for t in cands:
             if t not in trust_in:
+                rec_a, rec_b = seeded[t]
+                store.put(x, t, TAINTED_TASK, SERVICE, rec_a)
+                store.put(x, t, CLEAN_TASK, SERVICE, rec_b)
                 trust_in[t] = eng.task_trust(store, x, t, target, SERVICE, tasks)
             tw = trust_in[t]
             if tw is not None:

@@ -10,7 +10,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .experiments import AGGREGATE, MetricsRow
 
@@ -23,12 +23,13 @@ def format_value(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
@@ -51,7 +52,7 @@ def write_metrics(rows: Sequence[MetricsRow], path) -> None:
     lines = [METRICS_HEADER]
     for row in ordered:
         lines.append(f"{row.experiment},{row.param},{row.run},{row.metric},{format_value(row.value)}")
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    _atomic_write(Path(path), ["\n".join(lines) + "\n"])
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def write_plot(
         out.append(f'<text x="18" y="{mid:.1f}" text-anchor="middle" font-size="13" '
                    f'font-family="sans-serif" transform="rotate(-90 18 {mid:.1f})">{_escape(y_label)}</text>')
     out.append("</svg>")
-    _atomic_write(Path(path), "\n".join(out) + "\n")
+    _atomic_write(Path(path), ["\n".join(out) + "\n"])
 
 
 def _escape(text: str) -> str:
@@ -171,13 +172,12 @@ def _escape(text: str) -> str:
     )
 
 
-def write_trace_log(trace_dicts: Sequence[dict], path) -> None:
-    """Newline-delimited JSON, one record per delegation."""
-    lines = [json.dumps(t, sort_keys=True, separators=(",", ":")) for t in trace_dicts]
-    _atomic_write(Path(path), "\n".join(lines) + ("\n" if lines else ""))
+def write_trace_log(lines: Iterable[str], path) -> None:
+    """Newline-delimited JSON: one `DelegationTrace.to_line` per delegation."""
+    _atomic_write(Path(path), (line + "\n" for line in lines))
 
 
 def write_summary(summary: dict, path) -> None:
     """Deterministic JSON summary; wall-clock timings stay on stdout, not here."""
-    _atomic_write(Path(path), json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _atomic_write(Path(path), [json.dumps(summary, sort_keys=True, indent=2) + "\n"])
 

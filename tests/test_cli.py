@@ -224,6 +224,16 @@ class TestExperimentRuns:
         assert (out_a / "metrics_profit.csv").read_bytes() == \
             (out_b / "metrics_profit.csv").read_bytes()
 
+    def test_trace_log_bit_identical_across_jobs(self, capsys, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        argv = ["mutuality", "--graph", "synthetic-50", "--runs", "2", "--iterations", "2",
+                "--trace"]
+        run_cli(capsys, *argv, "--jobs", "1", "--out", str(out_a))
+        run_cli(capsys, *argv, "--jobs", "2", "--out", str(out_b))
+        trace_a = (out_a / "trace_mutuality.ndjson").read_bytes()
+        assert trace_a
+        assert trace_a == (out_b / "trace_mutuality.ndjson").read_bytes()
+
     def test_mutuality_trace_log(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(capsys, "mutuality", "--runs", "1", "--iterations", "2",

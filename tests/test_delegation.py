@@ -343,12 +343,28 @@ class TestDeterminism:
     def test_different_seeds_diverge(self):
         assert self.run_sequence(7) != self.run_sequence(8)
 
+    def test_trace_line_is_the_dict_as_json(self):
+        traces = []
+        for theta in (0.3, 0.6):  # delegations with and without rejections, then unavailable
+            graph, store, profiles, task, tasks = star_world(theta=theta)
+            profiles[0] = AgentProfile(node=0, integrity=0.5, competence={0: 1.0})
+            evaluator = PathEvaluator(graph, profiles, store, tasks)
+            usage, rng = UsageLog(), random.Random(3)
+            traces += [run_delegation(evaluator, usage, Environment(), request_for(task), rng)
+                       for _ in range(4)]
+        assert {t.outcome is None for t in traces} == {True, False}
+        assert any(t.rejections and t.outcome for t in traces)
+        for trace in traces:
+            line = trace.to_line()
+            assert line == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
+            assert json.loads(line) == trace.to_dict()
+
     def test_trace_json_round_trips(self, tmp_path):
         graph, store, profiles, task, tasks = star_world()
         trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), UsageLog(),
                                Environment(), request_for(task), random.Random(1))
         path = tmp_path / "trace.ndjson"
-        write_trace_log([trace.to_dict()], path)
+        write_trace_log([trace.to_line()], path)
         data = json.loads(path.read_text())
         assert data["trustor"] == 0
         assert data["chosen"] == trace.chosen

@@ -1,3 +1,4 @@
+import json
 import random
 import statistics
 
@@ -83,7 +84,7 @@ class TestMutuality:
         exp_mutuality(syn50_graph, SMALL.replace(theta_grid=(0.0,)),
                       runs=1, master_seed=1, trace_sink=sink)
         assert sink
-        assert {"trustor", "chosen", "interrogated"} <= set(sink[0])
+        assert {"trustor", "chosen", "interrogated"} <= set(json.loads(sink[0]))
 
 
 class TestInference:
@@ -216,7 +217,7 @@ class TestMutualityExplicitTask:
         sink = []
         rows = exp_mutuality(syn50_graph, sc, runs=1, master_seed=1, trace_sink=sink)
         assert rows
-        assert all(t["task"] == 7 for t in sink)
+        assert all(json.loads(t)["task"] == 7 for t in sink)
 
 
 class TestProfit:

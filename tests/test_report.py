@@ -122,7 +122,7 @@ class TestWritePlot:
 class TestTraceAndSummary:
     def test_trace_log_lines(self, tmp_path):
         path = tmp_path / "trace.ndjson"
-        write_trace_log([{"a": 1}, {"b": 2}], path)
+        write_trace_log(['{"a":1}', '{"b":2}'], path)
         lines = path.read_text().splitlines()
         assert lines == ['{"a":1}', '{"b":2}']
 
@@ -130,6 +130,13 @@ class TestTraceAndSummary:
         path = tmp_path / "trace.ndjson"
         write_trace_log([], path)
         assert path.read_text() == ""
+
+    def test_unwritable_trace_path_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "trace.ndjson"
+        path.mkdir()  # a directory where the file should go: the rename fails
+        with pytest.raises(OSError):
+            write_trace_log(['{"a":1}'], path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.ndjson"]
 
     def test_summary_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
