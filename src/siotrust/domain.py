@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 SERVICE = "service"
 RECOMMENDATION = "recommendation"
@@ -91,33 +91,37 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class TrustRecord:
+_new_tuple = tuple.__new__
+
+_RecordFields = NamedTuple("_RecordFields", [("s_hat", float), ("g_hat", float), ("d_hat", float),
+                                             ("c_hat", float), ("interaction_count", int)])
+
+
+class TrustRecord(_RecordFields):
     """One observer's estimates about one subject on one task.
 
     `s_hat` is the expected success rate; `g_hat`, `d_hat`, `c_hat` the
     expected gain, damage, and cost, all in [0, 1]. A record with
     interaction_count 0 holds the configured initial estimates. The kind
     of trust (service or recommendation) is part of the record's key in
-    `TrustStore`, not of the record.
+    `TrustStore`, not of the record. An immutable tuple: every way to build
+    one, copies and unpickling included, goes through `__new__`.
     """
 
-    s_hat: float
-    g_hat: float
-    d_hat: float
-    c_hat: float
-    interaction_count: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (0.0 <= self.s_hat <= 1.0 and 0.0 <= self.g_hat <= 1.0 and 0.0 <= self.d_hat <= 1.0
-                and 0.0 <= self.c_hat <= 1.0 and self.interaction_count >= 0):
-            return  # all valid; otherwise the checks below name the first bad field
-        _check_unit("s_hat", self.s_hat)
-        _check_unit("g_hat", self.g_hat)
-        _check_unit("d_hat", self.d_hat)
-        _check_unit("c_hat", self.c_hat)
-        if self.interaction_count < 0:
-            raise ValueError("interaction_count must be >= 0")
+    def __new__(cls, s_hat: float, g_hat: float, d_hat: float, c_hat: float,
+                interaction_count: int = 0):
+        if not (0.0 <= s_hat <= 1.0 and 0.0 <= g_hat <= 1.0 and 0.0 <= d_hat <= 1.0
+                and 0.0 <= c_hat <= 1.0 and interaction_count >= 0):
+            # not all valid: the checks below name the first bad field
+            _check_unit("s_hat", s_hat)
+            _check_unit("g_hat", g_hat)
+            _check_unit("d_hat", d_hat)
+            _check_unit("c_hat", c_hat)
+            if interaction_count < 0:
+                raise ValueError("interaction_count must be >= 0")
+        return _new_tuple(cls, (s_hat, g_hat, d_hat, c_hat, interaction_count))
 
 
 def initial_record(estimates: Sequence[float] = (0.5, 0.5, 0.5, 0.5)) -> TrustRecord:
@@ -234,41 +238,47 @@ class Environment:
         return self.values.get(node, self.default)
 
 
-@dataclass(frozen=True)
-class DelegationOutcome:
+_OutcomeFields = NamedTuple("_OutcomeFields", [("success", bool), ("gain", float), ("damage", float),
+                                               ("cost", float), ("abusive", bool),
+                                               ("env_snapshot", tuple[float, ...])])
+
+
+class DelegationOutcome(_OutcomeFields):
     """Realized result of one delegation.
 
     Success zeroes damage, failure zeroes gain, cost applies either way.
     `env_snapshot` carries the environment values under which the
     delegation ran: (trustor E, trustee E, then each intermediate's E).
+    An immutable tuple, validated in `__new__` as `TrustRecord` is.
     """
 
-    success: bool
-    gain: float
-    damage: float
-    cost: float
-    abusive: bool = False
-    env_snapshot: tuple[float, ...] = (1.0, 1.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        snap = self.env_snapshot
-        if (0.0 <= self.gain <= 1.0 and 0.0 <= self.damage <= 1.0 and 0.0 <= self.cost <= 1.0
-                and (self.damage if self.success else self.gain) == 0.0
+    def __new__(cls, success: bool, gain: float, damage: float, cost: float,
+                abusive: bool = False, env_snapshot: tuple[float, ...] = (1.0, 1.0)):
+        snap = env_snapshot
+        if not (0.0 <= gain <= 1.0 and 0.0 <= damage <= 1.0 and 0.0 <= cost <= 1.0
+                and (damage if success else gain) == 0.0
                 and len(snap) == 2 and 0.0 < snap[0] <= 1.0 and 0.0 < snap[1] <= 1.0):
-            return  # valid, with no intermediates; otherwise the checks below run
-        _check_unit("gain", self.gain)
-        _check_unit("damage", self.damage)
-        _check_unit("cost", self.cost)
-        if self.success and self.damage != 0.0:
-            raise ValueError("successful delegation must have zero damage")
-        if not self.success and self.gain != 0.0:
-            raise ValueError("failed delegation must have zero gain")
-        if len(self.env_snapshot) < 2:
-            raise ValueError("env_snapshot needs trustor and trustee entries")
-        for v in self.env_snapshot:
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"env snapshot values must be in (0, 1], got {v}")
+            # invalid, or valid with intermediates: the checks below decide
+            _check_unit("gain", gain)
+            _check_unit("damage", damage)
+            _check_unit("cost", cost)
+            if success and damage != 0.0:
+                raise ValueError("successful delegation must have zero damage")
+            if not success and gain != 0.0:
+                raise ValueError("failed delegation must have zero gain")
+            if len(snap) < 2:
+                raise ValueError("env_snapshot needs trustor and trustee entries")
+            for v in snap:
+                if not 0.0 < v <= 1.0:
+                    raise ValueError(f"env snapshot values must be in (0, 1], got {v}")
+        return _new_tuple(cls, (success, gain, damage, cost, abusive, env_snapshot))
 
+
+# the inherited `_make` and `_replace` build the tuple without `__new__`, so
+# skip its range test: the record types do not have them
+del _RecordFields._make, _RecordFields._replace, _OutcomeFields._make, _OutcomeFields._replace
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 

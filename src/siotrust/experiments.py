@@ -10,11 +10,13 @@ points differ only in the parameter under study.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import trust_engine as eng
@@ -94,17 +96,31 @@ class ExperimentSpec:
         return self.master_seed if self.master_seed is not None else self.scenario.master_seed
 
 
-def _map_units(worker: Callable, units: list, jobs: int) -> list:
-    """Run unit jobs, optionally on a process pool; result order is unit order.
+def _run_unit(worker: Callable, unit):
+    """Run one unit with the cyclic collector paused, then restore its state.
 
-    The pool gets at most one worker per unit.
+    Units create no reference cycles, so reference counting frees all they build."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return worker(unit)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _map_units(worker: Callable, units: list, jobs: int) -> list:
+    """Run unit jobs through `_run_unit`, optionally on a process pool.
+
+    Result order is unit order. The pool gets at most one worker per unit.
     """
+    run = partial(_run_unit, worker)
     jobs = min(jobs, len(units))
     if jobs <= 1:
-        return [worker(u) for u in units]
+        return [run(u) for u in units]
     chunk = max(1, len(units) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, units, chunksize=chunk))
+        return list(pool.map(run, units, chunksize=chunk))
 
 
 def _clamp01(x: float) -> float:
@@ -471,19 +487,21 @@ def _transitivity_unit(args):
     }
 
     store = TrustStore()
+    put, draw = store.put, rng.random
+    service_density, rec_density = sc.service_density, sc.rec_density
     for n in graph.nodes():
+        competence_of = profiles[n].task_competence
         task_objs = [tasks[tid] for tid in experienced[n]]
         for m in graph.neighbors(n):
             for task in task_objs:
-                if rng.random() < sc.service_density:
-                    s_hat = profiles[n].task_competence(task)
-                    store.put(m, n, task.id, SERVICE, TrustRecord(s_hat, 1.0, 1.0, 0.0, 1))
+                if draw() < service_density:
+                    put(m, n, task.id, SERVICE, TrustRecord(competence_of(task), 1.0, 1.0, 0.0, 1))
     for n in graph.nodes():
         known = sorted({tid for k in graph.neighbors(n) for tid in experienced[k]})
         for m in graph.neighbors(n):
             for tid in known:
-                if rng.random() < sc.rec_density:
-                    store.put(m, n, tid, RECOMMENDATION, TrustRecord(rng.random(), 1.0, 1.0, 0.0, 1))
+                if draw() < rec_density:
+                    put(m, n, tid, RECOMMENDATION, TrustRecord(draw(), 1.0, 1.0, 0.0, 1))
 
     requests = [
         (x, pool[rng.randrange(len(pool))], rng.random())

@@ -269,6 +269,6 @@ def select_trustee(scores: Sequence[float]) -> int:
     """
     if not scores:
         raise ValueError("select_trustee needs at least one score")
-    # max keeps the first maximum, so the lower index wins ties
-    return max(range(len(scores)), key=scores.__getitem__)
+    # index finds the first maximum, so the lower index wins ties
+    return scores.index(max(scores))
 

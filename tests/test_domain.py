@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -185,6 +188,71 @@ class TestDelegationOutcome:
             DelegationOutcome(success=True, gain=0.5, damage=0.0, cost=0.1, env_snapshot=(1.0,))
         with pytest.raises(ValueError):
             DelegationOutcome(success=True, gain=0.5, damage=0.0, cost=0.1, env_snapshot=(1.0, 0.0))
+
+
+# (type, valid field values in order, a field with an out-of-range value and its message)
+RECORD_TYPES = [
+    (TrustRecord, {"s_hat": 0.9, "g_hat": 0.8, "d_hat": 0.1, "c_hat": 0.2, "interaction_count": 3},
+     ("d_hat", 1.5, "d_hat must be in [0, 1], got 1.5")),
+    (DelegationOutcome, {"success": False, "gain": 0.0, "damage": 0.9, "cost": 0.1,
+                         "abusive": True, "env_snapshot": (1.0, 0.4, 0.7)},
+     ("cost", -0.1, "cost must be in [0, 1], got -0.1")),
+]
+
+
+def _bypassing_new(cls, values):
+    """An instance built without the type's `__new__`, so with no range test."""
+    return tuple.__new__(cls, tuple(values.values()))
+
+
+class TestRecordConstruction:
+    """Every way of building a record or an outcome runs its range test."""
+
+    @pytest.fixture(params=RECORD_TYPES, ids=lambda case: case[0].__name__)
+    def case(self, request):
+        return request.param
+
+    def test_positional_and_keyword_agree(self, case):
+        cls, values, _ = case
+        built = cls(*values.values())
+        assert built == cls(**values)
+        assert type(built) is cls
+        assert {name: getattr(built, name) for name in values} == values
+
+    def test_positional_and_keyword_validate(self, case):
+        cls, values, (name, bad, message) = case
+        bad_values = {**values, name: bad}
+        with pytest.raises(ValueError) as by_keyword:
+            cls(**bad_values)
+        with pytest.raises(ValueError) as by_position:
+            cls(*bad_values.values())
+        assert str(by_keyword.value) == str(by_position.value) == message
+
+    @pytest.mark.parametrize("rebuild", [
+        copy.copy, copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_validate(self, case, rebuild):
+        cls, values, (name, bad, message) = case
+        good = cls(**values)
+        assert rebuild(good) == good
+        assert type(rebuild(good)) is cls
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rebuild(_bypassing_new(cls, {**values, name: bad}))
+
+    def test_no_unvalidated_builders(self, case):
+        cls, _, _ = case
+        # namedtuple's _make and _replace call tuple.__new__ directly
+        assert not hasattr(cls, "_make")
+        assert not hasattr(cls, "_replace")
+
+    def test_fields_are_read_only(self, case):
+        cls, values, (name, bad, _) = case
+        built = cls(**values)
+        with pytest.raises(AttributeError):
+            setattr(built, name, bad)
+        with pytest.raises(AttributeError):
+            built.extra = 1
+        assert getattr(built, name) == values[name]
 
 
 NAN = float("nan")

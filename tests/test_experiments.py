@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import statistics
@@ -382,6 +383,22 @@ class TestLabels:
         assert experiments.char_grid(Scenario(char_counts=(4, 5))) == (4, 5)
 
 
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
 class TestRunner:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -430,21 +447,72 @@ class TestRunner:
     def test_jobs_capped_at_unit_count(self, monkeypatch):
         workers = []
 
-        class SerialPool:
+        class SerialPool(_SerialPool):
             def __init__(self, max_workers):
                 workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
         spec = ExperimentSpec(which="environment", scenario=Scenario(env_epoch_length=5), runs=4)
         rows = run_experiment_rows(spec, None, jobs=64)
         assert workers == [4]
         assert rows == run_experiment_rows(spec, None, jobs=1)
+
+
+# one unit of each experiment on synthetic-50, the mutuality one with traces on
+UNITS = {
+    "mutuality-traced": (experiments._mutuality_unit, lambda g: (g, SMALL, 0.3, 0, 1, True)),
+    "inference": (experiments._inference_unit, lambda g: (g, Scenario(), 0, 1)),
+    "transitivity": (experiments._transitivity_unit, lambda g: (g, Scenario(), 4, 0, 1)),
+    "profit-random": (experiments._profit_unit,
+                      lambda g: (Scenario(profit_iterations=50), experiments.VARIANT_RANDOM, 0, 1)),
+    "profit-attack": (experiments._profit_unit, lambda g: (Scenario(), experiments.VARIANT_ATTACK, 0, 1)),
+    "environment": (experiments._environment_unit, lambda g: (Scenario(env_epoch_length=20), 0, 1)),
+}
+
+
+@pytest.fixture()
+def collector_state():
+    """Restores the collector's state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """Units run with the cyclic collector paused, so they must free all they build."""
+
+    @pytest.mark.parametrize("name", list(UNITS))
+    def test_unit_creates_no_cycles(self, syn50_graph, collector_state, name):
+        worker, make_unit = UNITS[name]
+        unit = make_unit(syn50_graph)
+        gc.collect()
+        gc.disable()
+        worker(unit)  # the result is dropped too, so a cycle in it would count
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    def test_paused_in_unit_and_restored(self, monkeypatch, collector_state, enabled, pooled):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        seen = experiments._map_units(lambda unit: gc.isenabled(), [0, 1, 2], jobs=2 if pooled else 1)
+        assert seen == [False, False, False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    def test_restored_when_worker_raises(self, monkeypatch, collector_state, pooled):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+
+        def failing(unit):
+            raise RuntimeError(f"unit {unit}")
+
+        gc.enable()
+        with pytest.raises(RuntimeError, match="unit 0"):
+            experiments._map_units(failing, [0, 1], jobs=2 if pooled else 1)
+        assert gc.isenabled()
