@@ -13,8 +13,6 @@ from __future__ import annotations
 import gc
 import math
 import random
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -112,15 +110,22 @@ def _run_unit(worker: Callable, unit):
 def _map_units(worker: Callable, units: list, jobs: int) -> list:
     """Run unit jobs through `_run_unit`, optionally on a process pool.
 
-    Result order is unit order. The pool gets at most one worker per unit.
+    Result order is unit order. The pool gets at most one worker per unit. It
+    is imported only here, so a serial run never loads `multiprocessing`.
     """
     run = partial(_run_unit, worker)
     jobs = min(jobs, len(units))
     if jobs <= 1:
         return [run(u) for u in units]
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(units) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run, units, chunksize=chunk))
+
+
+def _mean(values) -> float:
+    """The mean as `statistics.fmean` computes it, without importing `statistics`."""
+    return math.fsum(values) / len(values)
 
 
 def _clamp01(x: float) -> float:
@@ -176,7 +181,7 @@ def _mean_std(experiment: str, param: str, metric: str, values) -> tuple[Metrics
     nums = [n * (den // d) for n, d in ratios]
     k, total = len(nums), sum(nums)
     std = _sqrt_of_ratio(k * sum(n * n for n in nums) - total * total, (k * den) ** 2)
-    return (MetricsRow(experiment, param, AGGREGATE, metric, statistics.fmean(values)),
+    return (MetricsRow(experiment, param, AGGREGATE, metric, _mean(values)),
             MetricsRow(experiment, param, AGGREGATE, metric + "_std", std))
 
 
@@ -620,8 +625,8 @@ def _profit_unit(args):
         windows = {}
         if len(values) >= 50:
             # realized cost early (tasks 1-10) vs late (tasks 40-50)
-            windows = {"cost_tasks_1_10": statistics.fmean(values[0:10]),
-                       "cost_tasks_40_50": statistics.fmean(values[39:50])}
+            windows = {"cost_tasks_1_10": _mean(values[0:10]),
+                       "cost_tasks_40_50": _mean(values[39:50])}
         entries.append((param, run_idx, windows, {"cost": values}))
     return entries, []
 

@@ -106,16 +106,15 @@ def load_edge_list(source: str) -> SocialGraph:
     """
     pairs = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise GraphFormatError(f"line {lineno}: expected two node ids, got {len(tokens)} tokens")
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: node ids must be integers: {line!r}") from None
+            raise GraphFormatError(f"line {lineno}: node ids must be integers: {raw.strip()!r}") from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: node ids must be non-negative")
         pairs.append((u, v))

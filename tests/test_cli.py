@@ -1,8 +1,12 @@
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import fields
@@ -369,6 +373,41 @@ class TestScenarioFuzz:
             assert math.isfinite(float(value)), line
             if metric.endswith("_rate"):
                 assert 0.0 <= float(value) <= 1.0, line
+
+
+# Runs in a fresh interpreter: notes the modules loaded at start, then what each
+# CLI run adds. argv[1] is the output root, argv[2] where the module lists go.
+STARTUP_SCRIPT = """
+import sys
+before = set(sys.modules)
+from siotrust.cli import main
+run = ["mutuality", "--graph", "synthetic-50", "--runs", "1", "--iterations", "2"]
+new = {}
+for jobs in ("1", "2"):
+    assert main([*run, "--jobs", jobs, "--out", f"{sys.argv[1]}/jobs{jobs}"]) == 0
+    new[jobs] = sorted(set(sys.modules) - before)
+with open(sys.argv[2], "w") as f:
+    f.write(repr(new))
+"""
+
+
+class TestStartup:
+    """A serial run imports neither the process pool nor `statistics`."""
+
+    SERIAL_SKIPS = ("concurrent.futures", "multiprocessing", "statistics")
+
+    def test_serial_run_skips_unused_imports(self, tmp_path):
+        src = str(Path(experiments.__file__).parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        modules = tmp_path / "modules.txt"
+        subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path), str(modules)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        new = ast.literal_eval(modules.read_text())
+        assert not [m for m in new["1"] if m in self.SERIAL_SKIPS], new["1"]
+        assert "concurrent.futures" in new["2"]
+        csv = "metrics_mutuality.csv"
+        assert (tmp_path / "jobs1" / csv).read_bytes() == (tmp_path / "jobs2" / csv).read_bytes()
 
 
 class TestPlots:

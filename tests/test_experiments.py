@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import random
@@ -360,11 +361,14 @@ class TestStd:
     @example([5e-324])
     @example([0.1] * 9)
     @example([5e-324, 0.0])
+    @example([-0.0, -0.0])
     @example([0.1, 0.1, -0.3, 0.1, -0.3])
     @example([1e-9, -2e-9, 3e-9])
     @given(st.lists(STD_VALUES, min_size=1, max_size=100))
     def test_matches_pstdev_bit_for_bit(self, values):
         mean, std = experiments._mean_std("demo", "x=1", "m", values)
+        assert mean.metric == "m"
+        assert mean.value.hex() == statistics.fmean(values).hex()  # a signed zero too
         assert std.metric == "m_std"
         assert std.value == statistics.pstdev(values)
 
@@ -451,7 +455,7 @@ class TestRunner:
             def __init__(self, max_workers):
                 workers.append(max_workers)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         spec = ExperimentSpec(which="environment", scenario=Scenario(env_epoch_length=5), runs=4)
         rows = run_experiment_rows(spec, None, jobs=64)
         assert workers == [4]
@@ -496,7 +500,7 @@ class TestCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
     def test_paused_in_unit_and_restored(self, monkeypatch, collector_state, enabled, pooled):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         if enabled:
             gc.enable()
         else:
@@ -507,7 +511,7 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
     def test_restored_when_worker_raises(self, monkeypatch, collector_state, pooled):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
 
         def failing(unit):
             raise RuntimeError(f"unit {unit}")

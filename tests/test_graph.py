@@ -59,6 +59,17 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match="non-negative"):
             load_edge_list("0 -1\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("0 1\n  0\tx  \n", "line 2: node ids must be integers: '0\\tx'"),
+        ("  # note\n0 1 2\n", "line 2: expected two node ids, got 3 tokens"),
+        ("0 1\n\n 1  -2 \n", "line 3: node ids must be non-negative"),
+        ("#0 1\n   \n", "empty edge list"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            load_edge_list(text)
+        assert str(exc.value) == message
+
     def test_empty_input_rejected(self):
         with pytest.raises(GraphFormatError, match="empty"):
             load_edge_list("")
