@@ -14,7 +14,6 @@ the rng state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -64,6 +63,13 @@ class DiscoveryResult:
         return len(self.interrogated)
 
 
+# Memo of `round(t, 9)` for trace values, which repeat; rounding is slow. The
+# keys are float trust values in [0, 1], never -0.0, so equal keys round alike.
+# It is a pure cache, shared by the process and cleared past 4,096 entries.
+_ROUNDED: dict[float, float] = {}
+_JSON_BOOL = {True: "true", False: "false"}
+
+
 @dataclass
 class DelegationTrace:
     """What happened during one delegation, serializable for the trace log."""
@@ -77,11 +83,16 @@ class DelegationTrace:
     nodes_interrogated: int
 
     def to_dict(self) -> dict:
+        memo = _ROUNDED
+        if len(memo) > 4096:
+            memo.clear()
         out = {
             "trustor": self.trustor,
             "task": self.task_id,
-            "ranked": [[n, round(t, 9)] for n, t in self.ranked_candidates],
-            "rejections": [[n, round(t, 9)] for n, t in self.rejections],
+            "ranked": [[n, memo[t] if t in memo else memo.setdefault(t, round(t, 9))]
+                       for n, t in self.ranked_candidates],
+            "rejections": [[n, memo[t] if t in memo else memo.setdefault(t, round(t, 9))]
+                           for n, t in self.rejections],
             "chosen": self.chosen if self.chosen is not None else "unavailable",
             "interrogated": self.nodes_interrogated,
             # the trace format keeps the key; the protocol never self-executes
@@ -99,8 +110,29 @@ class DelegationTrace:
         return out
 
     def to_line(self) -> str:
-        """The trace log's NDJSON line for this delegation, without its newline."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """The trace log's NDJSON line: `to_dict` as canonical JSON, written for its shape.
+
+        Keys are sorted and there are no spaces. The floats are finite, since
+        records and outcomes are validated to [0, 1], and for a finite float
+        `repr` is what `json` writes.
+        """
+        d = self.to_dict()
+        chosen = d["chosen"] if self.chosen is not None else f'"{d["chosen"]}"'
+        o = d.get("outcome")
+        outcome = "" if o is None else (
+            f'"outcome":{{"abusive":{_JSON_BOOL[o["abusive"]]},"cost":{o["cost"]!r},'
+            f'"damage":{o["damage"]!r},"env":[{",".join(map(repr, o["env"]))}],'
+            f'"gain":{o["gain"]!r},"success":{_JSON_BOOL[o["success"]]}}},')
+        return (f'{{"chosen":{chosen},"interrogated":{d["interrogated"]},{outcome}'
+                f'"ranked":[{_json_pairs(d["ranked"])}],'
+                f'"rejections":[{_json_pairs(d["rejections"])}],'
+                f'"self_executed":{_JSON_BOOL[d["self_executed"]]},'
+                f'"task":{d["task"]},"trustor":{d["trustor"]}}}')
+
+
+def _json_pairs(pairs) -> str:
+    """`[[node, value], ...]` as JSON, without the outer brackets."""
+    return ",".join([f"[{n},{t!r}]" for n, t in pairs])
 
 
 class PathEvaluator:
@@ -110,22 +142,20 @@ class PathEvaluator:
     the task vocabulary; discovery and the protocol read them only through
     it.
 
-    Neighbour index: for each node, built lazily from `pair_info` at most
-    once, the node's neighbours in `graph.neighbors` order with the
-    task-independent evidence the node holds about them, as two lists of
-    (neighbour, exact task ids, covered-characteristic mask): one of
-    recommendation evidence, one of service evidence about trustee-capable
-    neighbours only. Neighbours without records are left out, since an
-    empty mask passes no method's test.
+    Neighbour index: per (node, record kind), built from `pair_info` at
+    most once and only when a walk first asks, the node's neighbours in
+    `graph.neighbors` order as (neighbour, exact task ids,
+    covered-characteristic mask). Neighbours without records are left out,
+    since an empty mask passes no method's test; the service list skips
+    non-trustees before calling `pair_info`.
 
-    Row cache: `evidence_row` filters a node's index per (method, task)
-    with one test per neighbour and caches the resulting row.
+    Row cache: `evidence_row` filters an index per (method, task, kind) with
+    one test per neighbour. A one-hop walk never asks for a recommendation row.
 
-    Hops: one evaluator per method, each mapping (observer, subject, kind,
-    task) to (covered-characteristic mask, trust or None).
-    `direct_tw` (traditional) reads the record on the exact task;
-    `full_tw` (conservative) and `subset_tw` (aggressive) fall back to
-    inference and memoize per (observer, subject, kind), per task on top.
+    Hops: one evaluator per method maps (observer, subject, kind, task) to
+    (covered-characteristic mask, trust or None), memoized per (observer,
+    subject, kind), per task on top. `direct_tw` (traditional) reads the
+    exact-task record; `full_tw` and `subset_tw` fall back to inference.
 
     Invalidation contract: every record written to the store after
     construction goes through `invalidate`, as run_delegation does.
@@ -143,6 +173,7 @@ class PathEvaluator:
         self.store = store
         self.tasks = tasks
         self._pair: dict = {}
+        self._direct: dict = {}
         self._full: dict = {}
         self._subset: dict = {}
         self._neighbours: dict = {}
@@ -154,15 +185,18 @@ class PathEvaluator:
         A value-only write (an existing record updated) drops that pair's
         hop cache and keeps the index and rows, whose ids and masks it
         cannot change. `structural` marks a newly created record, which
-        also drops the observer's neighbour index entry and evidence rows.
+        also drops the observer's neighbour index entries and evidence rows
+        of both kinds.
         """
         for kind in (SERVICE, RECOMMENDATION):
             key = (observer, subject, kind)
             self._pair.pop(key, None)
+            self._direct.pop(key, None)
             self._full.pop(key, None)
             self._subset.pop(key, None)
+            if structural:
+                self._neighbours.pop((observer, kind), None)
         if structural:
-            self._neighbours.pop(observer, None)
             for rows in self._evidence.values():
                 rows.pop(observer, None)
 
@@ -186,9 +220,14 @@ class PathEvaluator:
         return hit
 
     def direct_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
-        """Trust from the record on the exact task, unmemoized: records change per delegation."""
-        rec = self.store.get(observer, subject, task.id, kind)
-        return (0, None) if rec is None else (task.mask, eng.post_evaluate(rec))
+        """Trust from the record on the exact task, memoized until `invalidate`."""
+        bucket = self._direct.setdefault((observer, subject, kind), {})
+        hit = bucket.get(task.id)
+        if hit is None:
+            rec = self.store.get(observer, subject, task.id, kind)
+            hit = (0, None) if rec is None else (task.mask, eng.post_evaluate(rec))
+            bucket[task.id] = hit
+        return hit
 
     def full_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
         """Trust over the whole task: the exact record, else inference with full coverage."""
@@ -221,38 +260,32 @@ class PathEvaluator:
             bucket[task.id] = hit
         return hit
 
-    def _neighbour_index(self, node: int):
-        """(recommendation evidence, service evidence) lists of `node`'s neighbours."""
-        hit = self._neighbours.get(node)
+    def _neighbour_index(self, node: int, kind: str):
+        """(neighbour, exact task ids, mask) of `node`'s evidenced neighbours of one kind."""
+        hit = self._neighbours.get((node, kind))
         if hit is None:
-            rec = []
-            svc = []
-            for nbr in self.graph.neighbors(node):
-                rec_ids, rec_mask, _ = self.pair_info(node, nbr, RECOMMENDATION)
-                if rec_mask:
-                    rec.append((nbr, rec_ids, rec_mask))
-                prof = self.profiles.get(nbr)
-                if prof is not None and prof.is_trustee:
-                    svc_ids, svc_mask, _ = self.pair_info(node, nbr, SERVICE)
-                    if svc_mask:
-                        svc.append((nbr, svc_ids, svc_mask))
-            hit = (rec, svc)
-            self._neighbours[node] = hit
+            nbrs = self.graph.neighbors(node)
+            if kind == SERVICE:
+                nbrs = [n for n in nbrs if n in self.profiles and self.profiles[n].is_trustee]
+            hit = []
+            for nbr in nbrs:
+                ids, mask, _ = self.pair_info(node, nbr, kind)
+                if mask:
+                    hit.append((nbr, ids, mask))
+            self._neighbours[node, kind] = hit
         return hit
 
-    def evidence_row(self, method: str, task: Task, node: int):
-        """Evidenced out-edges of `node`: (recommendation targets, service targets).
+    def evidence_row(self, method: str, task: Task, kind: str, node: int) -> tuple[int, ...]:
+        """Evidenced out-edges of `node` of one kind: relay targets or trustees.
 
         Evidence is the method's ungated relevance test: the exact task id
         (traditional), every task characteristic (conservative) or any of
         them (aggressive). Gates are applied later, during path evaluation.
         """
-        rows = self._evidence.setdefault((method, task.id), {})
+        rows = self._evidence.setdefault((method, task.id, kind), {})
         hit = rows.get(node)
         if hit is None:
-            rec, svc = self._neighbour_index(node)
-            hit = (_evidenced(rec, method, task), _evidenced(svc, method, task))
-            rows[node] = hit
+            hit = rows[node] = _evidenced(self._neighbour_index(node, kind), method, task)
         return hit
 
 
@@ -278,7 +311,7 @@ def _prefer(new: tuple[float, tuple[int, ...]], cur: Optional[tuple[float, tuple
     return new[1] < cur[1]
 
 
-def _interrogate(row, trustor: int, max_hops: int) -> frozenset[int]:
+def _interrogate(svc_row, rec_row, trustor: int, max_hops: int) -> frozenset[int]:
     """The ungated sweep: breadth-first through evidenced relays, trustor excluded."""
     interrogated: set[int] = set()
     reached = {trustor}
@@ -288,10 +321,9 @@ def _interrogate(row, trustor: int, max_hops: int) -> frozenset[int]:
         nxt = []
         relay = depth + 1 <= max_hops - 1
         for o in current:
-            rec_out, svc_out = row(o)
-            interrogated.update(svc_out)
+            interrogated.update(svc_row(o))
             if relay:
-                for s in rec_out:
+                for s in rec_row(o):
                     if s != trustor and s not in reached:
                         interrogated.add(s)
                         reached.add(s)
@@ -302,7 +334,7 @@ def _interrogate(row, trustor: int, max_hops: int) -> frozenset[int]:
     return frozenset(interrogated)
 
 
-def _best_paths(row, hop, trustor: int, task: Task, params: eng.TransitivityParams) -> dict:
+def _best_paths(svc_row, rec_row, hop, trustor: int, task: Task, params: eng.TransitivityParams) -> dict:
     """Depth-first search over gated hops, as an explicit stack.
 
     Returns the best (value, path) per reached trustee or, for the
@@ -322,8 +354,7 @@ def _best_paths(row, hop, trustor: int, task: Task, params: eng.TransitivityPara
     while stack:
         path, prefix, carried = stack.pop()
         o = path[-1]
-        rec_out, svc_out = row(o)
-        for t in svc_out:
+        for t in svc_row(o):
             if t == trustor or t in path:
                 continue
             covered, tw = hop(o, t, SERVICE, task)
@@ -346,7 +377,7 @@ def _best_paths(row, hop, trustor: int, task: Task, params: eng.TransitivityPara
                     best[t] = entry
         if len(path) > relay_len:
             continue
-        for s in rec_out:
+        for s in rec_row(o):
             if s == trustor or s in path:
                 continue
             covered, tw = hop(o, s, RECOMMENDATION, task)
@@ -383,10 +414,11 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
         hop = evaluator.full_tw
     else:
         hop = evaluator.subset_tw
-    row = partial(evaluator.evidence_row, method, task)
+    svc_row = partial(evaluator.evidence_row, method, task, SERVICE)
+    rec_row = partial(evaluator.evidence_row, method, task, RECOMMENDATION)
 
-    interrogated = _interrogate(row, trustor, params.max_hops)
-    best = _best_paths(row, hop, trustor, task, params)
+    interrogated = _interrogate(svc_row, rec_row, trustor, params.max_hops)
+    best = _best_paths(svc_row, rec_row, hop, trustor, task, params)
 
     if method != eng.AGGRESSIVE:
         candidates = [Candidate(t, value, path) for t, (value, path) in sorted(best.items())]
@@ -437,11 +469,11 @@ def sample_outcome(
     )
 
 
-def _rank(candidates: Sequence[Candidate]) -> list[Candidate]:
+def rank_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
     """Highest discovered trust first, ties to the lower node id.
 
-    The protocol ranks by trust alone; the success_only and full_profit
-    strategies belong to the profit experiment (`trust_engine.strategy_score`).
+    The protocol and the transitivity experiment rank by trust alone; the
+    success_only and full_profit strategies are the profit experiment's.
     """
     return sorted(candidates, key=lambda c: (-c.trust, c.node))
 
@@ -467,7 +499,7 @@ def run_delegation(
     profiles = evaluator.profiles
     store = evaluator.store
     disc = find_potential_trustees(evaluator, request)
-    ranked = _rank(disc.candidates)
+    ranked = rank_candidates(disc.candidates)
     trace = DelegationTrace(
         trustor=trustor,
         task_id=task.id,

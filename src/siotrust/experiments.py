@@ -22,6 +22,7 @@ from .delegation import (
     DelegationRequest,
     PathEvaluator,
     find_potential_trustees,
+    rank_candidates,
     run_delegation,
     sample_outcome,
 )
@@ -527,7 +528,7 @@ def _transitivity_unit(args):
             if not disc.candidates:
                 unavailable += 1
                 continue
-            chosen = min(disc.candidates, key=lambda c: (-c.trust, c.node))
+            chosen = rank_candidates(disc.candidates)[0]
             if u_success < profiles[chosen.node].task_competence(target):
                 successes += 1
         n_req = len(requests)

@@ -251,7 +251,7 @@ def strategy_score(record: TrustRecord, strategy: str) -> float:
     """A record's selection score: `s_hat` for success_only, net profit for full_profit.
 
     The strategies are the profit experiment's alone; the delegation
-    protocol ranks its candidates by discovered trust (`delegation._rank`).
+    protocol ranks its candidates by discovered trust (`delegation.rank_candidates`).
     """
     if strategy == SUCCESS_ONLY:
         return record.s_hat

@@ -5,9 +5,13 @@ import math
 import random
 import weakref
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import siotrust.trust_engine as eng
 from siotrust.delegation import (
     DelegationRequest,
+    DelegationTrace,
     PathEvaluator,
     find_potential_trustees,
     run_delegation,
@@ -18,6 +22,7 @@ from siotrust.domain import (
     RECOMMENDATION,
     SERVICE,
     AgentProfile,
+    DelegationOutcome,
     Environment,
     TrustRecord,
     TrustStore,
@@ -27,7 +32,7 @@ from siotrust.domain import (
 from siotrust.report import write_trace_log
 
 from conftest import make_graph
-from test_transitivity import random_instance
+from test_transitivity import oracle_discover, random_instance
 
 
 class StubRng:
@@ -300,7 +305,8 @@ class TestEvaluatorCoherence:
         ev = PathEvaluator(graph, profiles, store, tasks)
         usage = UsageLog()
         rng = random.Random(1)
-        row_before = ev.evidence_row(eng.TRADITIONAL, target, 0)
+        row_before = tuple(ev.evidence_row(eng.TRADITIONAL, target, kind, 0)
+                           for kind in (RECOMMENDATION, SERVICE))
         assert row_before == ((), ())
         for step, method in enumerate(("conservative", "traditional", "aggressive", "conservative")):
             trace = run_delegation(ev, usage, Environment(),
@@ -309,7 +315,8 @@ class TestEvaluatorCoherence:
             if step == 0:
                 # structural: the delegation created 0's records about 1 and 2
                 assert store.get(0, 1, 0, RECOMMENDATION) is not None
-                assert ev.evidence_row(eng.TRADITIONAL, target, 0) == ((1,), (2,))
+                assert ev.evidence_row(eng.TRADITIONAL, target, RECOMMENDATION, 0) == (1,)
+                assert ev.evidence_row(eng.TRADITIONAL, target, SERVICE, 0) == (2,)
             # value-only from step 1 on: the service record about 2 is updated
             assert store.get(0, 2, 0, SERVICE).interaction_count == step + 1
             for m in self.METHODS:
@@ -319,6 +326,39 @@ class TestEvaluatorCoherence:
                                                 request)
                 assert reused == fresh, (step, m)
                 assert reused.candidates
+
+    def test_reused_evaluator_matches_fresh_on_random_worlds(self):
+        # Every delegation writes through invalidate; afterwards the reused
+        # evaluator's memos, index and rows must give what a fresh one and
+        # the exhaustive oracle read from the store, for every method and
+        # hop limit. Gates at most 0.6 let over half the delegations write.
+        for seed in range(40):
+            graph, store, profiles, _, _, _, tasks = random_instance(seed)
+            nodes = list(graph.nodes())
+            pool = [tasks[i] for i in sorted(tasks)]
+            ev = PathEvaluator(graph, profiles, store, tasks)
+            usage = UsageLog()
+            rng = random.Random(seed)
+            for step in range(8):
+                trustor, task = rng.choice(nodes), rng.choice(pool)
+                omega1, omega2 = rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6)
+                params = eng.TransitivityParams(omega1, omega2, rng.randint(1, 3),
+                                                rng.choice(self.METHODS))
+                run_delegation(ev, usage, Environment(),
+                               DelegationRequest(trustor=trustor, task=task, transitivity=params),
+                               rng)
+                fresh = PathEvaluator(graph, profiles, store, tasks)
+                for m in self.METHODS:
+                    for hops in (1, 2, 3):
+                        probe = eng.TransitivityParams(omega1, omega2, hops, m)
+                        request = DelegationRequest(trustor=trustor, task=task, transitivity=probe)
+                        reused = find_potential_trustees(ev, request)
+                        where = (seed, step, m, hops)
+                        assert reused == find_potential_trustees(fresh, request), where
+                        expected = oracle_discover(graph, store, profiles, trustor, task, probe,
+                                                   tasks, m)
+                        assert ({c.node: c.trust for c in reused.candidates}
+                                == {n: e[0] for n, e in expected.items()}), where
 
 
 class TestDeterminism:
@@ -370,6 +410,34 @@ class TestDeterminism:
         assert data["chosen"] == trace.chosen
         assert data["outcome"]["success"] == trace.outcome.success
         assert data["interrogated"] == trace.nodes_interrogated
+
+
+# values in [0, 1], with some whose repr needs an exponent
+_EXPONENT = st.sampled_from([1e-05, 2.5e-07, 1e-09, 3e-10, 1e-300, 5e-324])
+_UNIT = st.one_of(st.floats(0.0, 1.0), _EXPONENT)
+_ENV = st.one_of(st.floats(0.0, 1.0, exclude_min=True), _EXPONENT)
+_PAIRS = st.lists(st.tuples(st.integers(0, 10**6), _UNIT), max_size=6)
+
+
+@st.composite
+def _outcomes(draw):
+    success, value = draw(st.booleans()), draw(_UNIT)
+    return DelegationOutcome(success=success, gain=value if success else 0.0,
+                             damage=0.0 if success else value, cost=draw(_UNIT),
+                             abusive=draw(st.booleans()),
+                             env_snapshot=tuple(draw(st.lists(_ENV, min_size=2, max_size=6))))
+
+
+class TestTraceEncoder:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.builds(DelegationTrace, trustor=st.integers(0, 10**6), task_id=st.integers(0, 10**6),
+                     ranked_candidates=_PAIRS, rejections=_PAIRS,
+                     chosen=st.none() | st.integers(0, 10**6), outcome=st.none() | _outcomes(),
+                     nodes_interrogated=st.integers(0, 10**6)))
+    def test_line_is_canonical_json_of_the_dict(self, trace):
+        line = trace.to_line()
+        assert line == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert json.loads(line) == trace.to_dict()
 
 
 class TestOracleInstances:
