@@ -91,9 +91,6 @@ def _scenario_from_args(args) -> Scenario:
     if args.method is not None:
         overrides["methods"] = (args.method,)
     if args.characteristics is not None:
-        if scenario.tasks:
-            raise ScenarioError("char_counts (--characteristics) cannot be combined with "
-                                "explicit tasks")
         overrides["char_counts"] = _csv_ints(args.characteristics)
     if args.iterations is not None:
         n = args.iterations
@@ -214,7 +211,6 @@ def _run_experiments(names, args) -> int:
     graph = _load_graph(args.graph, args.features)
     scenario = _scenario_from_args(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "graph": args.graph,
         "seed": args.seed if args.seed is not None else scenario.master_seed,

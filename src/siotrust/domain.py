@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
@@ -289,33 +289,53 @@ _AT_LEAST_0 = (">= 0", lambda v: v >= 0)
 _AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 _METHOD = (f"{', '.join(METHODS[:-1])} or {METHODS[-1]}", lambda v: v in METHODS)
 
-# Scenario field -> (type, minimum entries of a list field or None for a
-# scalar, allowed (description, test) or None). List entries are checked one
-# by one; a field whose default is None may be None; `tasks` has its own parser.
-_SCENARIO_RULES = {
-    "role_fraction": (float, None, _OPEN_UNIT),
-    "beta": (float, None, _FORGETTING),
-    "initial_estimates": (float, 0, _UNIT),
-    "theta_grid": (float, 1, _UNIT),
-    "char_counts": (int, 1, _AT_LEAST_1),
-    "methods": (str, 1, _METHOD),
-    "env_values": (float, 1, _OPEN_UNIT),
-    "characteristics": (str, 0, None),
-    "runs": (int, None, _AT_LEAST_1),
-    "preseed_uses": (int, None, _AT_LEAST_0),
-    "master_seed": (int, None, None),
-    "tasks": None,
-    **dict.fromkeys(("omega1", "omega2", "dishonest_fraction", "taint_penalty",
-                     "service_density", "rec_density", "env_competence", "env_initial_s"),
-                    (float, None, _UNIT)),
-    **dict.fromkeys(("max_hops", "mutuality_rounds", "inference_reps", "tasks_per_node",
-                     "profit_candidates", "profit_iterations", "attack_tasks",
-                     "env_epoch_length"), (int, None, _AT_LEAST_1)),
-    **dict.fromkeys(("cost_multiplier", "env_noise"), (float, None, _AT_LEAST_0)),
-    **dict.fromkeys(("disjoint_roles", "use_features"), (bool, None, None)),
-}
-
-_CHAR_COUNTS_WITH_TASKS = "char_counts cannot be combined with explicit tasks"
+# One row per Scenario field, in the key order of `to_dict`: (name, default,
+# type, minimum entries of a list field or None for a scalar, allowed
+# (description, test) or None). List entries are checked one by one; a field
+# whose default is None may be None; `tasks` has no type, as `Scenario`
+# parses it itself.
+_SCENARIO_FIELDS = (
+    # shared
+    ("role_fraction", 0.4, float, None, _OPEN_UNIT),
+    ("disjoint_roles", False, bool, None, None),
+    ("omega1", 0.6, float, None, _UNIT),
+    ("omega2", 0.6, float, None, _UNIT),
+    ("max_hops", 3, int, None, _AT_LEAST_1),
+    ("beta", 0.1, float, None, _FORGETTING),
+    ("initial_estimates", (0.5, 0.5, 0.5, 0.5), float, 0, _UNIT),
+    ("master_seed", 1, int, None, None),
+    ("runs", None, int, None, _AT_LEAST_1),
+    # optional explicit vocabulary; when tasks are given they replace the
+    # experiments' generated pools
+    ("characteristics", (), str, 0, None),
+    ("tasks", (), None, None, None),
+    # mutual evaluation
+    ("theta_grid", (0.0, 0.3, 0.6), float, 1, _UNIT),
+    ("mutuality_rounds", 6, int, None, _AT_LEAST_1),
+    ("preseed_uses", 5, int, None, _AT_LEAST_0),
+    # characteristic inference
+    ("inference_reps", 50, int, None, _AT_LEAST_1),
+    ("dishonest_fraction", 0.5, float, None, _UNIT),
+    ("taint_penalty", 0.5, float, None, _UNIT),
+    # transitivity
+    ("char_counts", (4, 5, 6, 7), int, 1, _AT_LEAST_1),
+    ("methods", METHODS, str, 1, _METHOD),
+    ("tasks_per_node", 2, int, None, _AT_LEAST_1),
+    ("service_density", 0.25, float, None, _UNIT),
+    ("rec_density", 0.08, float, None, _UNIT),
+    ("use_features", False, bool, None, None),
+    # net profit
+    ("profit_candidates", 20, int, None, _AT_LEAST_1),
+    ("profit_iterations", 250, int, None, _AT_LEAST_1),
+    ("attack_tasks", 50, int, None, _AT_LEAST_1),
+    ("cost_multiplier", 3.0, float, None, _AT_LEAST_0),
+    # dynamic environment
+    ("env_values", (1.0, 0.4, 0.7), float, 1, _OPEN_UNIT),
+    ("env_epoch_length", 100, int, None, _AT_LEAST_1),
+    ("env_competence", 0.8, float, None, _UNIT),
+    ("env_noise", 0.05, float, None, _AT_LEAST_0),
+    ("env_initial_s", 1.0, float, None, _UNIT),
+)
 
 # Grid fields whose entries each become one result label, so two entries
 # with the same key would write their rows twice. `experiments.label`
@@ -337,78 +357,34 @@ def _check_field(name: str, value, kind: type, allowed) -> None:
         raise ScenarioError(f"{name} must be {allowed[0]}, got {value!r}")
 
 
-@dataclass
 class Scenario:
     """Tunable parameters for the five experiments, JSON-compatible.
 
-    Defaults reproduce the reference setups at desk scale; the CLI and
-    scenario files may override any field.
+    The fields, their defaults and their rules are the rows of
+    `_SCENARIO_FIELDS`. Defaults reproduce the reference setups at desk
+    scale; the CLI and scenario files may override any field.
     """
 
-    # shared
-    role_fraction: float = 0.4
-    disjoint_roles: bool = False
-    omega1: float = 0.6
-    omega2: float = 0.6
-    max_hops: int = 3
-    beta: float = 0.1
-    initial_estimates: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
-    master_seed: int = 1
-    runs: Optional[int] = None
-
-    # optional explicit vocabulary; when tasks are given they replace the
-    # experiments' generated pools
-    characteristics: tuple[str, ...] = ()
-    tasks: tuple = ()
-
-    # mutual evaluation
-    theta_grid: tuple[float, ...] = (0.0, 0.3, 0.6)
-    mutuality_rounds: int = 6
-    preseed_uses: int = 5
-
-    # characteristic inference
-    inference_reps: int = 50
-    dishonest_fraction: float = 0.5
-    taint_penalty: float = 0.5
-
-    # transitivity
-    char_counts: tuple[int, ...] = (4, 5, 6, 7)
-    methods: tuple[str, ...] = ("traditional", "conservative", "aggressive")
-    tasks_per_node: int = 2
-    service_density: float = 0.25
-    rec_density: float = 0.08
-    use_features: bool = False
-
-    # net profit
-    profit_candidates: int = 20
-    profit_iterations: int = 250
-    attack_tasks: int = 50
-    cost_multiplier: float = 3.0
-
-    # dynamic environment
-    env_values: tuple[float, ...] = (1.0, 0.4, 0.7)
-    env_epoch_length: int = 100
-    env_competence: float = 0.8
-    env_noise: float = 0.05
-    env_initial_s: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            rule = _SCENARIO_RULES[f.name]
-            if rule is None or (value is None and f.default is None):
+    def __init__(self, **given):
+        unknown = set(given).difference(row[0] for row in _SCENARIO_FIELDS)
+        if unknown:
+            raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+        for name, default, kind, min_entries, allowed in _SCENARIO_FIELDS:
+            value = given.get(name, default)
+            if isinstance(value, list):
+                value = tuple(value)
+            setattr(self, name, value)
+            if kind is None or (value is None and default is None):
                 continue
-            kind, min_entries, allowed = rule
             if min_entries is None:
-                _check_field(f.name, value, kind, allowed)
+                _check_field(name, value, kind, allowed)
                 continue
-            if not isinstance(value, (list, tuple)):
-                raise ScenarioError(f"{f.name} must be a list, got {value!r}")
+            if not isinstance(value, tuple):
+                raise ScenarioError(f"{name} must be a list, got {value!r}")
             if len(value) < min_entries:
-                raise ScenarioError(f"{f.name} must not be empty")
+                raise ScenarioError(f"{name} must not be empty")
             for i, entry in enumerate(value):
-                _check_field(f"{f.name}[{i}]", entry, kind, allowed)
-            setattr(self, f.name, tuple(value))
+                _check_field(f"{name}[{i}]", entry, kind, allowed)
         for name, key in _DISTINCT_KEYS.items():
             keys = [key(v) for v in getattr(self, name)]
             for i, k in enumerate(keys):
@@ -424,11 +400,11 @@ class Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad task definitions: {exc}") from exc
         self.task_objects()
-        # explicit tasks are one grid point; a set field cannot be told from
-        # a defaulted one after `replace`, so any change from the default
-        # counts here, and `load_scenario` rejects the key itself
-        if self.tasks and self.char_counts != Scenario.char_counts:
-            raise ScenarioError(_CHAR_COUNTS_WITH_TASKS)
+        # explicit tasks are one grid point, so a given grid would be ignored
+        if self.tasks and "char_counts" in given:
+            raise ScenarioError("char_counts cannot be combined with explicit tasks")
+        # the set fields, which `replace` carries over
+        self._given = frozenset(given)
 
     def task_objects(self) -> dict[int, Task]:
         """Validated Task objects for the explicit definitions, by id."""
@@ -443,38 +419,16 @@ class Scenario:
             out[task.id] = task
         return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Scenario":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in data:
-                continue
-            value = data[f.name]
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[f.name] = value
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ScenarioError(str(exc)) from exc
-
     def to_dict(self) -> dict:
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
+        for name, *_ in _SCENARIO_FIELDS:
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
     def replace(self, **overrides) -> "Scenario":
-        data = self.to_dict()
-        data.update(overrides)
-        return Scenario.from_dict(data)
+        """A new scenario from the fields this one was given, plus `overrides`."""
+        return Scenario(**{**{name: getattr(self, name) for name in self._given}, **overrides})
 
 
 def load_scenario(path) -> Scenario:
@@ -486,7 +440,4 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario file must hold a JSON object")
-    scenario = Scenario.from_dict(data)
-    if scenario.tasks and "char_counts" in data:
-        raise ScenarioError(_CHAR_COUNTS_WITH_TASKS)
-    return scenario
+    return Scenario(**data)

@@ -370,6 +370,7 @@ def _inference_unit(args):
     # its trust in t for the target depends on t alone: infer it once per t,
     # and store the pair only for the trustor that infers it
     store = TrustStore()
+    evaluator = PathEvaluator(graph, {}, store, tasks)
     trust_in: dict[int, Optional[float]] = {}
     with_honest = without_honest = participants = 0
     for x in roles.trustors:
@@ -383,7 +384,7 @@ def _inference_unit(args):
                 rec_a, rec_b = seeded[t]
                 store.put(x, t, TAINTED_TASK, SERVICE, rec_a)
                 store.put(x, t, CLEAN_TASK, SERVICE, rec_b)
-                trust_in[t] = eng.task_trust(store, x, t, target, SERVICE, tasks)
+                trust_in[t] = evaluator.full_tw(x, t, SERVICE, target)[1]
             tw = trust_in[t]
             if tw is not None:
                 scored.append((t, tw))

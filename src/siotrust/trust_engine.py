@@ -1,14 +1,16 @@
 """Trust mathematics: evaluation, updates, inference, pairwise transit, selection.
 
-Every function here is pure: the TrustStore is read but never written, and
-updates return new records for the caller to apply. Trust values ("TW")
-are scalars in [0, 1]; a record maps to its TW through `post_evaluate`.
+Every function here is pure: updates return new records for the caller to
+apply. Trust values ("TW") are scalars in [0, 1]; a record maps to its TW
+through `post_evaluate`.
 
-Chain trust combines pairwise through `transit_pair` as a*b + (1-a)*(1-b).
-This includes the counterintuitive regime where two low trusts combine to
-a high value (a mistrusted recommender judged wrong about a mistrusted
-subject); it is kept as designed. The transitivity rules themselves (hop
-coverage, the omega1/omega2 gates, path folding and the per-characteristic
+Chain trust combines pairwise through `transit_pair` as a*b + (1-a)*(1-b),
+which is `transit_pair(a, b) = ((2a-1)(2b-1) + 1) / 2`: chains multiply in
+the `2t-1` domain. So two trusts below 0.5 combine above 0.5 (a
+mistrusted recommender judged wrong about a mistrusted subject), which is
+kept as designed; and with gates at 0.5 or above, each extra hop can only
+pull a chain toward 0.5. The transitivity rules themselves (hop coverage,
+the omega1/omega2 gates, path folding and the per-characteristic
 combination of the aggressive method) live only in
 `delegation.find_potential_trustees`; the exhaustive-path oracle in
 `tests/test_transitivity.py` is their independent reference.
@@ -17,7 +19,7 @@ combination of the aggressive method) live only in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 # the method names are re-exported: callers read them as `eng.TRADITIONAL`
 from .domain import (
@@ -29,7 +31,6 @@ from .domain import (
     DelegationOutcome,
     Task,
     TrustRecord,
-    TrustStore,
     UsageLog,
 )
 
@@ -205,29 +206,6 @@ def infer_subset_tw(
             return None
         value += (weight / total_w) * char_tw
     return value
-
-
-def task_trust(
-    store: TrustStore,
-    observer: int,
-    subject: int,
-    task: Task,
-    kind: str,
-    tasks: Mapping[int, Task],
-) -> Optional[float]:
-    """Trust of observer in subject for a task: direct record first, else inference.
-
-    A direct record for the exact task wins; inference over analogous
-    tasks applies only when the task is unexperienced.
-    """
-    direct = store.get(observer, subject, task.id, kind)
-    if direct is not None:
-        return post_evaluate(direct)
-    history = [(tasks[task_id], post_evaluate(rec))
-               for task_id, rec in store.task_records(observer, subject, kind) if task_id in tasks]
-    if not history:
-        return None
-    return infer_task_tw(history, task)
 
 
 def transit_pair(tw_rec: float, tw_task: float) -> float:

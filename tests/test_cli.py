@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -105,21 +104,24 @@ class TestUsageErrors:
         assert "inference_reps" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command,scenario", [
-        ("mutuality", {"role_fraction": 0.1}),
-        ("transitivity", {"role_fraction": 0.1}),
-        ("mutuality", {"mutuality_rounds": 0}),
-    ], ids=["mutuality-no-trustors", "transitivity-no-trustors", "mutuality-zero-rounds"])
-    def test_empty_request_set_rejected(self, capsys, tmp_path, command, scenario):
+    @pytest.mark.parametrize("command,scenario,runs", [
+        ("mutuality", {"role_fraction": 0.1}, "1"),
+        ("transitivity", {"role_fraction": 0.1}, "1"),
+        ("mutuality", {"mutuality_rounds": 0}, "1"),
+        ("mutuality", {}, "0"),
+    ], ids=["mutuality-no-trustors", "transitivity-no-trustors", "mutuality-zero-rounds",
+            "mutuality-zero-runs"])
+    def test_empty_request_set_rejected(self, capsys, tmp_path, command, scenario, runs):
         graph = tmp_path / "path4.edges"
         graph.write_text("0 1\n1 2\n2 3\n")
         scenario_path = tmp_path / "s.json"
         scenario_path.write_text(json.dumps(scenario))
         code, _, err = run_cli(capsys, command, "--graph", str(graph), "--scenario",
-                               str(scenario_path), "--runs", "1", "--out", str(tmp_path / "out"))
+                               str(scenario_path), "--runs", runs, "--out", str(tmp_path / "out"))
         assert code == 1
         assert "error:" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("scenario,field", [
@@ -141,7 +143,7 @@ class TestUsageErrors:
 
     def test_char_counts_with_explicit_tasks_rejected(self, capsys, tmp_path):
         two_tasks = {"tasks": [[0, [[0, 1.0]]], [1, [[1, 1.0]]]]}
-        default_grid = list(Scenario.char_counts)
+        default_grid = list(Scenario().char_counts)
         # a grid equal to the default is rejected too: set is not the same as defaulted
         for scenario, flags in (
             (two_tasks, ["--characteristics", "4,5"]),
@@ -327,7 +329,7 @@ _scalar = st.one_of(
 _task = st.tuples(st.integers(-1, 3),
                   st.lists(st.tuples(st.integers(-1, 4), st.floats(-0.5, 2.0)), max_size=3))
 _mutation = st.dictionaries(
-    st.sampled_from([f.name for f in fields(Scenario)] + ["bogus"]),
+    st.sampled_from([*Scenario().to_dict(), "bogus"]),
     st.one_of(_scalar, st.lists(_scalar, max_size=4), st.lists(_task, max_size=3)),
     max_size=4,
 )

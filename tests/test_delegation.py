@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -332,8 +333,18 @@ class TestEvaluatorCoherence:
         # evaluator's memos, index and rows must give what a fresh one and
         # the exhaustive oracle read from the store, for every method and
         # hop limit. Gates at most 0.6 let over half the delegations write.
+        # Each trustee's reverse threshold comes from a generator of its own,
+        # so the world's records stay those of `random_instance(seed)`; a
+        # fresh pair's reverse trust is 0.5, so thresholds above it reject.
+        rejections = writes = 0
         for seed in range(40):
             graph, store, profiles, _, _, _, tasks = random_instance(seed)
+            thresholds = random.Random(seed + 1000)
+            profiles = {
+                node: dataclasses.replace(p, default_threshold=thresholds.uniform(0.0, 0.8))
+                if p.is_trustee else p
+                for node, p in profiles.items()
+            }
             nodes = list(graph.nodes())
             pool = [tasks[i] for i in sorted(tasks)]
             ev = PathEvaluator(graph, profiles, store, tasks)
@@ -344,9 +355,12 @@ class TestEvaluatorCoherence:
                 omega1, omega2 = rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6)
                 params = eng.TransitivityParams(omega1, omega2, rng.randint(1, 3),
                                                 rng.choice(self.METHODS))
-                run_delegation(ev, usage, Environment(),
-                               DelegationRequest(trustor=trustor, task=task, transitivity=params),
-                               rng)
+                trace = run_delegation(ev, usage, Environment(),
+                                       DelegationRequest(trustor=trustor, task=task,
+                                                         transitivity=params),
+                                       rng)
+                rejections += len(trace.rejections)
+                writes += trace.chosen is not None
                 fresh = PathEvaluator(graph, profiles, store, tasks)
                 for m in self.METHODS:
                     for hops in (1, 2, 3):
@@ -359,6 +373,7 @@ class TestEvaluatorCoherence:
                                                    tasks, m)
                         assert ({c.node: c.trust for c in reused.candidates}
                                 == {n: e[0] for n, e in expected.items()}), where
+        assert rejections and writes
 
 
 class TestDeterminism:

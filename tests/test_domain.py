@@ -323,10 +323,10 @@ class TestScenario:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ScenarioError, match="unknown scenario keys"):
-            Scenario.from_dict({"not_a_field": 1})
+            Scenario(not_a_field=1)
 
     def test_from_dict_lists_become_tuples(self):
-        sc = Scenario.from_dict({"theta_grid": [0.0, 0.5]})
+        sc = Scenario(theta_grid=[0.0, 0.5])
         assert sc.theta_grid == (0.0, 0.5)
 
     def test_validation(self):
@@ -386,16 +386,23 @@ class TestScenario:
             "env_noise-infinite", "cost_multiplier-infinite", "theta_grid-nan-entry"])
     def test_wrong_type_names_field(self, data, message):
         with pytest.raises(ScenarioError, match=message):
-            Scenario.from_dict(data)
+            Scenario(**data)
 
     def test_optional_and_integral_values_accepted(self):
-        sc = Scenario.from_dict({"runs": None, "beta": 0, "char_counts": [4, 5]})
+        sc = Scenario(runs=None, beta=0, char_counts=[4, 5])
         assert sc.runs is None and sc.beta == 0 and sc.char_counts == (4, 5)
 
     def test_replace_round_trip(self):
         sc = Scenario().replace(beta=0.2)
         assert sc.beta == 0.2
-        assert Scenario.from_dict(sc.to_dict()) == sc
+        assert Scenario(**sc.to_dict()).to_dict() == sc.to_dict()
+        # replace keeps the given fields, so explicit tasks survive a new grid
+        tasks = ((0, ((0, 1.0),)), (1, ((1, 1.0),)))
+        tasked = Scenario(tasks=tasks).replace(theta_grid=(0.5,))
+        assert tasked.tasks == tasks and tasked.theta_grid == (0.5,)
+        # and a copy sent to a worker still knows its tasks were given
+        with pytest.raises(ScenarioError, match="char_counts cannot be combined"):
+            pickle.loads(pickle.dumps(tasked)).replace(char_counts=(4, 5))
 
     def test_load_scenario_file(self, tmp_path):
         p = tmp_path / "scenario.json"
@@ -429,6 +436,9 @@ class TestScenario:
         assert sc.characteristics == ("gps", "image")
 
     def test_bad_task_definitions_rejected(self):
+        # explicit tasks are one grid point: a given grid is refused, the default one too
+        with pytest.raises(ScenarioError, match="char_counts cannot be combined"):
+            Scenario(tasks=((0, ((0, 1.0),)),), char_counts=(4, 5, 6, 7))
         with pytest.raises(ScenarioError, match="duplicate task id"):
             Scenario(tasks=((0, ((0, 1.0),)), (0, ((1, 1.0),))))
         with pytest.raises(ScenarioError, match="bad task definition"):

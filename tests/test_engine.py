@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siotrust.trust_engine as eng
+from siotrust.delegation import PathEvaluator
 from siotrust.domain import (
     SERVICE,
     AgentProfile,
@@ -13,7 +14,7 @@ from siotrust.domain import (
     make_task,
 )
 
-from conftest import chain_candidate, discover_on, tw_record
+from conftest import chain_candidate, discover_on, make_graph, tw_record
 
 unit = st.floats(0.0, 1.0)
 
@@ -206,6 +207,11 @@ class TestInference:
         assert eng.infer_task_tw(clean, target) == eng.infer_task_tw(tainted, target)
 
 
+def full_tw(store, tasks, target):
+    """Node 0's trust in node 1 for `target`, as discovery and the inference unit read it."""
+    return PathEvaluator(make_graph(2, [(0, 1)]), {}, store, tasks).full_tw(0, 1, SERVICE, target)[1]
+
+
 class TestTaskTrust:
     def test_direct_record_wins_over_inference(self):
         store = TrustStore()
@@ -214,7 +220,7 @@ class TestTaskTrust:
         tasks = {1: target, 2: other}
         store.put(0, 1, 1, SERVICE, record(1.0, 1.0, 0.0, 0.0))
         store.put(0, 1, 2, SERVICE, record(0.0, 0.0, 1.0, 1.0))
-        assert eng.task_trust(store, 0, 1, target, SERVICE, tasks) == 1.0
+        assert full_tw(store, tasks, target) == 1.0
 
     def test_falls_back_to_inference(self):
         store = TrustStore()
@@ -222,12 +228,12 @@ class TestTaskTrust:
         target = make_task(1, [(0, 1.0)])
         tasks = {1: target, 2: other}
         store.put(0, 1, 2, SERVICE, record(1.0, 1.0, 0.0, 0.0))
-        assert eng.task_trust(store, 0, 1, target, SERVICE, tasks) == 1.0
+        assert full_tw(store, tasks, target) == 1.0
 
     def test_no_records_is_none(self):
         store = TrustStore()
         target = make_task(1, [(0, 1.0)])
-        assert eng.task_trust(store, 0, 1, target, SERVICE, {1: target}) is None
+        assert full_tw(store, {1: target}, target) is None
 
 
 class TestTransitPair:

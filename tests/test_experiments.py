@@ -35,6 +35,8 @@ from siotrust.experiments import (
 from siotrust.graph import sample_roles
 from siotrust.seeds import derive_seed
 
+from test_transitivity import _oracle_full_tw
+
 
 def agg_map(rows):
     return {(r.param, r.metric): r.value for r in rows if r.run == AGGREGATE}
@@ -118,7 +120,7 @@ class TestInference:
 
 
 def reference_inference(graph, sc, rep, master):
-    """The inference unit with `task_trust` evaluated for every (trustor, candidate) pair.
+    """The inference unit with the oracle's trust evaluated for every (trustor, candidate) pair.
 
     Every pair gets records of its own, so nothing here relies on trust in a
     trustee being the same for all of its trustors.
@@ -146,7 +148,7 @@ def reference_inference(graph, sc, rep, master):
             continue
         participants += 1
         scored = [(t, tw) for t in cands[x]
-                  if (tw := eng.task_trust(store, x, t, target, SERVICE, tasks)) is not None]
+                  if (tw := _oracle_full_tw(store, tasks, x, t, SERVICE, target)) is not None]
         best = sorted(scored, key=lambda pair: (-pair[1], pair[0]))[0][0] if scored else cands[x][0]
         honest_with += best not in dishonest
         honest_without += rng_pick.choice(cands[x]) not in dishonest
