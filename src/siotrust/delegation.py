@@ -14,7 +14,6 @@ the rng state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -33,8 +32,7 @@ from .domain import (
 from .graph import SocialGraph
 
 
-@dataclass(frozen=True)
-class DelegationRequest:
+class DelegationRequest(NamedTuple):
     """One trustor's wish to delegate one task."""
 
     trustor: int
@@ -53,8 +51,7 @@ class Candidate(NamedTuple):
     char_paths: Optional[dict[int, tuple[int, ...]]] = None
 
 
-@dataclass(frozen=True)
-class DiscoveryResult:
+class DiscoveryResult(NamedTuple):
     candidates: tuple[Candidate, ...]
     interrogated: frozenset[int]
 
@@ -70,8 +67,7 @@ _ROUNDED: dict[float, float] = {}
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-@dataclass
-class DelegationTrace:
+class DelegationTrace(NamedTuple):
     """What happened during one delegation, serializable for the trace log."""
 
     trustor: int
@@ -500,25 +496,18 @@ def run_delegation(
     store = evaluator.store
     disc = find_potential_trustees(evaluator, request)
     ranked = rank_candidates(disc.candidates)
-    trace = DelegationTrace(
-        trustor=trustor,
-        task_id=task.id,
-        ranked_candidates=[(c.node, c.trust) for c in ranked],
-        rejections=[],
-        chosen=None,
-        outcome=None,
-        nodes_interrogated=disc.nodes_interrogated,
-    )
-
+    rejections = []
     chosen: Optional[Candidate] = None
     for candidate in ranked:
         accepted, rev = eng.reverse_evaluate(profiles[candidate.node], trustor, usage_log)
         if accepted:
             chosen = candidate
             break
-        trace.rejections.append((candidate.node, rev))
+        rejections.append((candidate.node, rev))
+    ranked_pairs = [(c.node, c.trust) for c in ranked]
     if chosen is None:
-        return trace
+        return DelegationTrace(trustor, task.id, ranked_pairs, rejections, None, None,
+                               disc.nodes_interrogated)
 
     paths = chosen.char_paths.values() if chosen.char_paths else (chosen.best_path,)
     intermediates = sorted({node for path in paths for node in path[1:-1]})
@@ -533,7 +522,5 @@ def run_delegation(
         base = record or initial_record(request.initial_estimates)
         store.put(observer, subject, task.id, kind, eng.update_estimates(base, outcome, request.update))
         evaluator.invalidate(observer, subject, structural=record is None)
-
-    trace.chosen = chosen.node
-    trace.outcome = outcome
-    return trace
+    return DelegationTrace(trustor, task.id, ranked_pairs, rejections, chosen.node, outcome,
+                           disc.nodes_interrogated)

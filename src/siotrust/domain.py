@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -32,29 +30,19 @@ class ScenarioError(ValueError):
     """Malformed scenario file or invalid parameter value."""
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """A weighted bag of characteristics; weights sum to one.
 
     Use `make_task` to construct: it validates parts and renormalizes
     weights so that any Task observable by other modules satisfies the
-    sum-to-one invariant.
+    sum-to-one invariant. `char_ids` are the characteristic ids of `parts`
+    in order, and `mask` has bit c set for each characteristic c.
     """
 
     id: int
     parts: tuple[tuple[int, float], ...]
-
-    @cached_property
-    def char_ids(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.parts)
-
-    @cached_property
-    def mask(self) -> int:
-        """The characteristic ids as a bitmask: bit c is set for characteristic c."""
-        m = 0
-        for c in self.char_ids:
-            m |= 1 << c
-        return m
+    char_ids: tuple[int, ...]
+    mask: int
 
     def weight_of(self, char_id: int) -> Optional[float]:
         for c, w in self.parts:
@@ -66,8 +54,9 @@ class Task:
 def make_task(task_id: int, parts: Sequence[tuple[int, float]]) -> Task:
     """Build a task from (characteristic id, weight) pairs.
 
-    Weights must be strictly positive and are renormalized to sum to one.
-    Rejects empty part lists and duplicate characteristics.
+    Weights must be positive and finite, as must their sum, and are
+    renormalized to sum to one. Rejects empty part lists and duplicate
+    characteristics.
     """
     if not parts:
         raise ValueError("task needs at least one characteristic")
@@ -76,14 +65,20 @@ def make_task(task_id: int, parts: Sequence[tuple[int, float]]) -> Task:
     for char_id, weight in parts:
         if char_id < 0:
             raise ValueError(f"characteristic ids must be non-negative, got {char_id}")
-        if weight <= 0:
-            raise ValueError(f"characteristic {char_id}: weight must be positive, got {weight}")
+        if not 0 < weight < math.inf:
+            raise ValueError(f"characteristic {char_id}: weight must be positive and finite, got {weight}")
         if char_id in seen:
             raise ValueError(f"duplicate characteristic {char_id} in task {task_id}")
         seen.add(char_id)
         total += weight
+    if total == math.inf:
+        raise ValueError(f"task {task_id}: the weights' sum must be finite")
     norm = tuple((int(c), w / total) for c, w in parts)
-    return Task(id=int(task_id), parts=norm)
+    char_ids = tuple(c for c, _ in norm)
+    mask = 0
+    for c in char_ids:
+        mask |= 1 << c
+    return Task(int(task_id), norm, char_ids, mask)
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -156,21 +151,10 @@ class TrustStore:
         return sorted(bucket.items(), key=itemgetter(0)) if bucket else []
 
 
-@dataclass(frozen=True)
-class AgentProfile:
-    """A node's roles and hidden ground truth.
-
-    `competence` maps characteristic id to the true success probability,
-    hidden from other agents; a task's ground-truth competence is the
-    task-weighted mean. `integrity` is the probability that a given use of
-    a trustee's resource is responsive rather than abusive. Dishonest
-    trustees enact scripted attacks (cost inflation via `cost_multiplier`,
-    characteristic tainting handled by the scenario builders).
-    """
-
+class _ProfileFields(NamedTuple):
     node: int
     is_trustee: bool = False
-    competence: Mapping[int, float] = field(default_factory=dict)
+    competence: Mapping[int, float] = {}  # shared by the profiles that omit it, never mutated
     integrity: float = 1.0
     default_threshold: float = 0.0
     honest: bool = True
@@ -179,7 +163,23 @@ class AgentProfile:
     cost: float = 0.0
     cost_multiplier: float = 1.0
 
-    def __post_init__(self):
+
+class AgentProfile(_ProfileFields):
+    """A node's roles and hidden ground truth.
+
+    `competence` maps characteristic id to the true success probability,
+    hidden from other agents; a task's ground-truth competence is the
+    task-weighted mean. `integrity` is the probability that a given use of
+    a trustee's resource is responsive rather than abusive. Dishonest
+    trustees enact scripted attacks (cost inflation via `cost_multiplier`,
+    characteristic tainting handled by the scenario builders). An immutable
+    tuple, validated in `__new__` as `TrustRecord` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = _ProfileFields.__new__(cls, *args, **kwargs)
         _check_unit("integrity", self.integrity)
         _check_unit("default_threshold", self.default_threshold)
         for c, v in self.competence.items():
@@ -187,6 +187,7 @@ class AgentProfile:
         _check_unit("gain", self.gain)
         _check_unit("damage", self.damage)
         _check_unit("cost", self.cost)
+        return self
 
     def task_competence(self, task: Task) -> float:
         total = 0.0
@@ -220,19 +221,27 @@ class UsageLog:
         return (entry[0], entry[1])
 
 
-@dataclass(frozen=True)
-class Environment:
-    """Instantaneous per-node environment; 1 means ideal, values stay in (0, 1]."""
-
-    values: Mapping[int, float] = field(default_factory=dict)
+class _EnvironmentFields(NamedTuple):
+    values: Mapping[int, float] = {}  # shared by the environments that omit it, never mutated
     default: float = 1.0
 
-    def __post_init__(self):
+
+class Environment(_EnvironmentFields):
+    """Instantaneous per-node environment; 1 means ideal, values stay in (0, 1].
+
+    An immutable tuple, validated in `__new__` as `TrustRecord` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = _EnvironmentFields.__new__(cls, *args, **kwargs)
         if not 0.0 < self.default <= 1.0:
             raise ValueError(f"environment default must be in (0, 1], got {self.default}")
         for node, v in self.values.items():
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"environment value for node {node} must be in (0, 1], got {v}")
+        return self
 
     def at(self, node: int) -> float:
         return self.values.get(node, self.default)
@@ -277,8 +286,9 @@ class DelegationOutcome(_OutcomeFields):
 
 
 # the inherited `_make` and `_replace` build the tuple without `__new__`, so
-# skip its range test: the record types do not have them
-del _RecordFields._make, _RecordFields._replace, _OutcomeFields._make, _OutcomeFields._replace
+# skip its range test: the validated types do not have them
+for _fields in (_RecordFields, _ProfileFields, _EnvironmentFields, _OutcomeFields):
+    del _fields._make, _fields._replace
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 

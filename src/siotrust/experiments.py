@@ -13,9 +13,8 @@ from __future__ import annotations
 import gc
 import math
 import random
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import trust_engine as eng
 from .delegation import (
@@ -55,8 +54,7 @@ DEFAULT_RUNS = {
 AGGREGATE = "aggregate"
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     experiment: str
     param: str
     run: object  # run index (int) or "aggregate"
@@ -64,20 +62,28 @@ class MetricsRow:
     value: float
 
 
-@dataclass
-class ExperimentSpec:
-    """Which experiment to run and with what overrides."""
-
+class _SpecFields(NamedTuple):
     which: str
-    scenario: Scenario = field(default_factory=Scenario)
+    scenario: Scenario = Scenario()
     runs: Optional[int] = None
     master_seed: Optional[int] = None
 
-    def __post_init__(self):
+
+class ExperimentSpec(_SpecFields):
+    """Which experiment to run and with what overrides.
+
+    An immutable tuple, validated in `__new__` as `domain.TrustRecord` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = _SpecFields.__new__(cls, *args, **kwargs)
         if self.which not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.which!r}, expected one of {EXPERIMENTS}")
         if self.runs is not None and self.runs < 1:
             raise ValueError("runs must be >= 1")
+        return self
 
     @property
     def effective_runs(self) -> int:
@@ -93,6 +99,10 @@ class ExperimentSpec:
     @property
     def effective_seed(self) -> int:
         return self.master_seed if self.master_seed is not None else self.scenario.master_seed
+
+
+# they build the tuple without `__new__`, so skip its checks
+del _SpecFields._make, _SpecFields._replace
 
 
 def _run_unit(worker: Callable, unit):
@@ -723,8 +733,9 @@ def run_experiment_rows(
     """Run one experiment and return its metric rows.
 
     For the graph experiments, raises ScenarioError before any compute
-    when the scenario's role sample would be empty or its disjoint roles
-    cannot fit in the graph.
+    when the scenario's role sample would be empty, its disjoint roles
+    cannot fit in the graph, or it sets `use_features` on a graph without
+    features.
     """
     runner = _RUNNERS[spec.which]
     kwargs = dict(runs=spec.effective_runs, master_seed=spec.effective_seed, jobs=jobs)
@@ -734,6 +745,8 @@ def run_experiment_rows(
         if graph is None:
             raise ValueError(f"experiment {spec.which!r} needs a graph")
         sc = spec.scenario
+        if sc.use_features and graph.features is None:
+            raise ScenarioError("use_features needs a feature file (--features)")
         try:
             count = role_count(graph, sc.role_fraction, sc.disjoint_roles)
         except ValueError as exc:

@@ -11,16 +11,14 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class GraphFormatError(ValueError):
     """Malformed edge-list or feature input."""
 
 
-@dataclass(frozen=True)
-class SocialGraph:
+class SocialGraph(NamedTuple):
     """Undirected social topology with optional per-node feature bit-vectors.
 
     Immutable after construction and safe to share across concurrent runs.
@@ -52,8 +50,7 @@ class SocialGraph:
         return i < len(nbrs) and nbrs[i] == v
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     node_count: int
     edge_count: int
     avg_degree: float
@@ -63,8 +60,7 @@ class GraphStats:
     components: int
 
 
-@dataclass(frozen=True)
-class RoleAssignment:
+class RoleAssignment(NamedTuple):
     """Sampled trustor and trustee node sets (dense ids, sorted)."""
 
     trustors: tuple[int, ...]

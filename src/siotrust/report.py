@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .experiments import AGGREGATE, MetricsRow
 
@@ -55,8 +54,7 @@ def write_metrics(rows: Sequence[MetricsRow], path) -> None:
     _atomic_write(Path(path), ["\n".join(lines) + "\n"])
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """One named polyline for a plot."""
 
     name: str

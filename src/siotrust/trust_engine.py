@@ -18,14 +18,12 @@ combination of the aggressive method) live only in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # the method names are re-exported: callers read them as `eng.TRADITIONAL`
 from .domain import (
     AGGRESSIVE,
     CONSERVATIVE,
-    METHODS,
     TRADITIONAL,
     AgentProfile,
     DelegationOutcome,
@@ -39,38 +37,29 @@ FULL_PROFIT = "full_profit"
 STRATEGIES = (SUCCESS_ONLY, FULL_PROFIT)
 
 
-@dataclass(frozen=True)
-class TransitivityParams:
-    """Gate thresholds and search bounds for trust transitivity."""
+class TransitivityParams(NamedTuple):
+    """Gate thresholds and search bounds for trust transitivity.
+
+    Not validated here: the experiments build them from constants or from
+    `Scenario` fields, which check the omega ranges, `max_hops` and the method.
+    """
 
     omega1: float = 0.6
     omega2: float = 0.6
     max_hops: int = 3
     method: str = AGGRESSIVE
 
-    def __post_init__(self):
-        if not 0.0 <= self.omega1 <= 1.0 or not 0.0 <= self.omega2 <= 1.0:
-            raise ValueError("omega gates must be in [0, 1]")
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
+class UpdateParams(NamedTuple):
+    """Forgetting factors for the four estimate updates; 0 forgets everything.
 
-@dataclass(frozen=True)
-class UpdateParams:
-    """Forgetting factors for the four estimate updates; 0 forgets everything."""
+    Each must be in [0, 1); `Scenario` checks `beta`, the one value they come from.
+    """
 
     beta_s: float = 0.1
     beta_g: float = 0.1
     beta_d: float = 0.1
     beta_c: float = 0.1
-
-    def __post_init__(self):
-        for name in ("beta_s", "beta_g", "beta_d", "beta_c"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {v}")
 
     @classmethod
     def uniform(cls, beta: float) -> "UpdateParams":

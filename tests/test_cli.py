@@ -109,8 +109,12 @@ class TestUsageErrors:
         ("transitivity", {"role_fraction": 0.1}, "1"),
         ("mutuality", {"mutuality_rounds": 0}, "1"),
         ("mutuality", {}, "0"),
+        ("all", {"tasks": [[0, [[0, math.nan]]]]}, "1"),
+        ("all", {"tasks": [[0, [[0, 1e308], [1, 1e308]]]]}, "1"),
+        ("all", {"use_features": True}, "1"),
     ], ids=["mutuality-no-trustors", "transitivity-no-trustors", "mutuality-zero-rounds",
-            "mutuality-zero-runs"])
+            "mutuality-zero-runs", "all-nan-weight", "all-weight-sum-overflows",
+            "all-use-features-without-features"])
     def test_empty_request_set_rejected(self, capsys, tmp_path, command, scenario, runs):
         graph = tmp_path / "path4.edges"
         graph.write_text("0 1\n1 2\n2 3\n")
@@ -164,8 +168,13 @@ class TestUsageErrors:
         ("environment", {"env_initial_s": 5}, [], "env_initial_s"),
         ("environment", {}, ["--jobs", "0"], "--jobs"),
         ("environment", {}, ["--jobs", "-4"], "--jobs"),
+        ("transitivity", {}, ["--omega1", "1.5"], "omega1"),
+        ("transitivity", {}, ["--omega2", "-0.1"], "omega2"),
+        ("transitivity", {"max_hops": 0}, [], "max_hops"),
+        ("mutuality", {}, ["--beta", "1.0"], "beta"),
     ], ids=["profit-negative-cost-multiplier", "environment-initial-s-above-1",
-            "environment-jobs-0", "environment-jobs-negative"])
+            "environment-jobs-0", "environment-jobs-negative", "transitivity-omega1-above-1",
+            "transitivity-omega2-negative", "transitivity-max-hops-0", "mutuality-beta-1"])
     def test_out_of_range_rejected_naming_field(self, capsys, tmp_path, command, scenario,
                                                 flags, field):
         scenario_path = tmp_path / "s.json"
@@ -394,9 +403,10 @@ with open(sys.argv[2], "w") as f:
 
 
 class TestStartup:
-    """A serial run imports neither the process pool nor `statistics`."""
+    """A serial run imports none of the process pool, `statistics`, `dataclasses` and `inspect`."""
 
-    SERIAL_SKIPS = ("concurrent.futures", "multiprocessing", "statistics")
+    SERIAL_SKIPS = ("concurrent.futures", "multiprocessing", "statistics", "dataclasses",
+                    "inspect")
 
     def test_serial_run_skips_unused_imports(self, tmp_path):
         src = str(Path(experiments.__file__).parent.parent)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -341,7 +340,8 @@ class TestEvaluatorCoherence:
             graph, store, profiles, _, _, _, tasks = random_instance(seed)
             thresholds = random.Random(seed + 1000)
             profiles = {
-                node: dataclasses.replace(p, default_threshold=thresholds.uniform(0.0, 0.8))
+                node: AgentProfile(p.node, p.is_trustee, p.competence,
+                                   default_threshold=thresholds.uniform(0.0, 0.8))
                 if p.is_trustee else p
                 for node, p in profiles.items()
             }

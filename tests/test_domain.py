@@ -43,6 +43,12 @@ class TestMakeTask:
             make_task(0, [(0, 0.0)])
         with pytest.raises(ValueError, match="positive"):
             make_task(0, [(0, -1.0)])
+        for weight in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                make_task(0, [(0, 1.0), (1, weight)])
+        # finite weights whose sum overflows would normalize to zeros
+        with pytest.raises(ValueError, match="sum must be finite"):
+            make_task(0, [(0, 1e308), (1, 1e308)])
 
     def test_duplicate_characteristic_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -197,6 +203,12 @@ RECORD_TYPES = [
     (DelegationOutcome, {"success": False, "gain": 0.0, "damage": 0.9, "cost": 0.1,
                          "abusive": True, "env_snapshot": (1.0, 0.4, 0.7)},
      ("cost", -0.1, "cost must be in [0, 1], got -0.1")),
+    (AgentProfile, {"node": 4, "is_trustee": True, "competence": {0: 0.3, 2: 0.9},
+                    "integrity": 0.8, "default_threshold": 0.2, "honest": False, "gain": 0.7,
+                    "damage": 0.4, "cost": 0.1, "cost_multiplier": 2.5},
+     ("integrity", 1.2, "integrity must be in [0, 1], got 1.2")),
+    (Environment, {"values": {3: 0.4, 7: 0.9}, "default": 0.8},
+     ("default", 1.5, "environment default must be in (0, 1], got 1.5")),
 ]
 
 
@@ -206,7 +218,7 @@ def _bypassing_new(cls, values):
 
 
 class TestRecordConstruction:
-    """Every way of building a record or an outcome runs its range test."""
+    """Every way of building a validated value runs its range test."""
 
     @pytest.fixture(params=RECORD_TYPES, ids=lambda case: case[0].__name__)
     def case(self, request):

@@ -84,10 +84,6 @@ class TestUpdateEstimates:
         updated = eng.update_estimates(record(0.3, 0.3, 0.3, 0.3), self.outcome(True), params)
         assert (updated.s_hat, updated.g_hat, updated.d_hat, updated.c_hat) == (1.0, 0.6, 0.0, 0.2)
 
-    def test_beta_one_rejected(self):
-        with pytest.raises(ValueError):
-            eng.UpdateParams.uniform(1.0)
-
     def test_failure_blend(self):
         params = eng.UpdateParams.uniform(0.1)
         updated = eng.update_estimates(record(1.0), self.outcome(False), params)
