@@ -445,24 +445,35 @@ def sample_outcome(
 
     Success is Bernoulli in the trustee's competence scaled by the worst
     environment in the outcome's snapshot (trustor, trustee, then the
-    intermediates); an abusive use is Bernoulli in (1 - trustor integrity).
-    Dishonest trustees inflate the realized cost by their scripted
-    multiplier. Draw order is fixed: success first, then abuse.
+    intermediates); `draw_outcome` makes the draws.
     """
     snapshot = (env.at(trustor.node), env.at(trustee.node))
     if intermediates:
         snapshot += tuple(env.at(i) for i in intermediates)
-    success = rng.random() < trustee.task_competence(task) * min(snapshot)
-    abusive = rng.random() >= trustor.integrity
+    return draw_outcome(trustee.task_competence(task) * min(snapshot), trustor.integrity,
+                        trustee, snapshot, rng)
+
+
+def draw_outcome(
+    p_success: float,
+    integrity: float,
+    trustee: AgentProfile,
+    snapshot: tuple[float, ...],
+    rng,
+) -> DelegationOutcome:
+    """The draws of one delegation, given its success probability.
+
+    `p_success` is the trustee's task competence times the worst value in
+    `snapshot`. An abusive use is Bernoulli in (1 - trustor integrity).
+    Dishonest trustees inflate the realized cost by their scripted
+    multiplier. Draw order is fixed: success first, then abuse.
+    """
+    success = rng.random() < p_success
+    abusive = rng.random() >= integrity
     cost = trustee.cost if trustee.honest else min(1.0, trustee.cost * trustee.cost_multiplier)
-    return DelegationOutcome(
-        success=success,
-        gain=trustee.gain if success else 0.0,
-        damage=0.0 if success else trustee.damage,
-        cost=cost,
-        abusive=abusive,
-        env_snapshot=snapshot,
-    )
+    if success:
+        return DelegationOutcome(True, trustee.gain, 0.0, cost, abusive, snapshot)
+    return DelegationOutcome(False, 0.0, trustee.damage, cost, abusive, snapshot)
 
 
 def rank_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:

@@ -14,16 +14,17 @@ import gc
 import math
 import random
 from functools import partial
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import trust_engine as eng
 from .delegation import (
     DelegationRequest,
     PathEvaluator,
+    draw_outcome,
     find_potential_trustees,
     rank_candidates,
     run_delegation,
-    sample_outcome,
 )
 from .domain import (
     RECOMMENDATION,
@@ -186,12 +187,15 @@ def _mean_std(experiment: str, param: str, metric: str, values) -> tuple[Metrics
 
     Each value is n / d with d a power of two, so over the largest d the
     values are integers N and the variance is (k·ΣN² − (ΣN)²) / (k·d)².
+    Scaling n to N is a shift by the gap between the bit lengths of d and
+    the largest d.
     """
-    ratios = [v.as_integer_ratio() for v in values]
+    ratios = list(map(float.as_integer_ratio, values))
     den = max(d for _, d in ratios)
-    nums = [n * (den // d) for n, d in ratios]
+    top = den.bit_length()
+    nums = [n << (top - d.bit_length()) for n, d in ratios]
     k, total = len(nums), sum(nums)
-    std = _sqrt_of_ratio(k * sum(n * n for n in nums) - total * total, (k * den) ** 2)
+    std = _sqrt_of_ratio(k * sum(map(mul, nums, nums)) - total * total, (k * den) ** 2)
     return (MetricsRow(experiment, param, AGGREGATE, metric, _mean(values)),
             MetricsRow(experiment, param, AGGREGATE, metric + "_std", std))
 
@@ -388,7 +392,8 @@ def _inference_unit(args):
         if not cands:
             continue
         participants += 1
-        scored = []
+        # the highest inferred trust, ties to the lowest node; no trust at all: cands[0]
+        best, best_tw = cands[0], None
         for t in cands:
             if t not in trust_in:
                 rec_a, rec_b = seeded[t]
@@ -396,12 +401,8 @@ def _inference_unit(args):
                 store.put(x, t, CLEAN_TASK, SERVICE, rec_b)
                 trust_in[t] = evaluator.full_tw(x, t, SERVICE, target)[1]
             tw = trust_in[t]
-            if tw is not None:
-                scored.append((t, tw))
-        if scored:
-            best = min(scored, key=lambda pair: (-pair[1], pair[0]))[0]
-        else:
-            best = cands[0]
+            if tw is not None and (best_tw is None or tw > best_tw or (tw == best_tw and t < best)):
+                best, best_tw = t, tw
         if best not in dishonest:
             with_honest += 1
         blind = rng_pick.choice(cands)
@@ -614,22 +615,33 @@ def _profit_unit(args):
         )
     trustor = AgentProfile(node=count, integrity=1.0)
     update = eng.UpdateParams.uniform(sc.beta)
+    # the environment is fixed, so each candidate's snapshot and success
+    # probability are computed once, as `sample_outcome` computes them
+    draw_args = []
+    for i in range(count):
+        snapshot = (env.at(trustor.node), env.at(i))
+        draw_args.append((profiles[i].task_competence(task) * min(snapshot), profiles[i], snapshot))
+    integrity = trustor.integrity
+    select, update_estimates, score = eng.select_trustee, eng.update_estimates, eng.strategy_score
+    net = variant == VARIANT_RANDOM
 
     entries = []
     for strategy in eng.STRATEGIES:
         records = [initial_record(sc.initial_estimates)] * count
-        scores = [eng.strategy_score(rec, strategy) for rec in records]
+        scores = [score(rec, strategy) for rec in records]
         # common random numbers: both strategies face the identical draw
         # sequence, so their curves differ only through candidate choice
         rng_play = random.Random(derive_seed(master, "profit-play", variant, run_idx))
         values = []
+        append = values.append
         for _ in range(iterations):
-            node = eng.select_trustee(scores)
-            outcome = sample_outcome(trustor, profiles[node], task, env, (), rng_play)
-            records[node] = eng.update_estimates(records[node], outcome, update)
-            scores[node] = eng.strategy_score(records[node], strategy)
-            values.append(outcome.gain - outcome.damage - outcome.cost
-                          if variant == VARIANT_RANDOM else outcome.cost)
+            node = select(scores)
+            p_success, trustee, snapshot = draw_args[node]
+            outcome = draw_outcome(p_success, integrity, trustee, snapshot, rng_play)
+            _, gain, damage, cost, _, _ = outcome
+            records[node] = record = update_estimates(records[node], outcome, update)
+            scores[node] = score(record, strategy)
+            append(gain - damage - cost if net else cost)
         param = label(variant=variant, strategy=strategy)
         if variant == VARIANT_RANDOM:
             entries.append((param, run_idx, {}, {"net_profit": values}))
@@ -674,23 +686,23 @@ REGIMES = ("baseline", "uncorrected", "corrected")
 def _environment_unit(args):
     sc, run_idx, master = args
     rng = random.Random(derive_seed(master, "environment", run_idx))
-    beta = sc.beta
-    comp = sc.env_competence
-    series = {regime: [] for regime in REGIMES}
-    s_hat = {regime: sc.env_initial_s for regime in REGIMES}
+    beta, comp, noise_level = sc.beta, sc.env_competence, sc.env_noise
+    blend, correct, uniform = eng.blend, eng.correct_realized, rng.uniform
+    baseline = uncorrected = corrected = sc.env_initial_s
+    baseline_series, uncorrected_series, corrected_series = [], [], []
     for value in sc.env_values:
         for _ in range(sc.env_epoch_length):
-            noise = rng.uniform(-sc.env_noise, sc.env_noise)
-            perf_ideal = _clamp01(comp + noise)
+            noise = uniform(-noise_level, noise_level)
             perf_env = _clamp01(comp * value + noise)
-            s_hat["baseline"] = eng.blend(s_hat["baseline"], perf_ideal, beta)
-            s_hat["uncorrected"] = eng.blend(s_hat["uncorrected"], perf_env, beta)
-            s_hat["corrected"] = eng.blend(
-                s_hat["corrected"], eng.correct_realized(perf_env, value), beta)
-            for regime in REGIMES:
-                series[regime].append(s_hat[regime])
-    return [(label(regime=regime), run_idx, {}, {"s_hat": series[regime]})
-            for regime in REGIMES], []
+            baseline = blend(baseline, _clamp01(comp + noise), beta)
+            uncorrected = blend(uncorrected, perf_env, beta)
+            corrected = blend(corrected, correct(perf_env, value), beta)
+            baseline_series.append(baseline)
+            uncorrected_series.append(uncorrected)
+            corrected_series.append(corrected)
+    series = (baseline_series, uncorrected_series, corrected_series)  # in REGIMES order
+    return [(label(regime=regime), run_idx, {}, {"s_hat": values})
+            for regime, values in zip(REGIMES, series)], []
 
 
 def exp_environment(
@@ -732,21 +744,21 @@ def run_experiment_rows(
 ) -> list[MetricsRow]:
     """Run one experiment and return its metric rows.
 
-    For the graph experiments, raises ScenarioError before any compute
-    when the scenario's role sample would be empty, its disjoint roles
-    cannot fit in the graph, or it sets `use_features` on a graph without
-    features.
+    Raises ScenarioError before any compute when the scenario sets
+    `use_features` without a graph with features; for the graph
+    experiments, also when the scenario's role sample would be empty or its
+    disjoint roles cannot fit in the graph.
     """
     runner = _RUNNERS[spec.which]
     kwargs = dict(runs=spec.effective_runs, master_seed=spec.effective_seed, jobs=jobs)
     if spec.which == "mutuality":
         kwargs["trace_sink"] = trace_sink
+    sc = spec.scenario
+    if sc.use_features and (graph is None or graph.features is None):
+        raise ScenarioError("use_features needs a feature file (--features)")
     if spec.which in ("mutuality", "inference", "transitivity"):
         if graph is None:
             raise ValueError(f"experiment {spec.which!r} needs a graph")
-        sc = spec.scenario
-        if sc.use_features and graph.features is None:
-            raise ScenarioError("use_features needs a feature file (--features)")
         try:
             count = role_count(graph, sc.role_fraction, sc.disjoint_roles)
         except ValueError as exc:
@@ -755,4 +767,4 @@ def run_experiment_rows(
             raise ScenarioError(
                 f"role_fraction {sc.role_fraction:g} samples no trustors "
                 f"on a {graph.node_count}-node graph")
-    return runner(graph, spec.scenario, **kwargs)
+    return runner(graph, sc, **kwargs)

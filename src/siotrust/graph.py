@@ -186,7 +186,8 @@ def compute_stats(graph: SocialGraph) -> GraphStats:
     the next frontier is the OR of the frontier's masks minus the nodes
     already reached, and each level adds `level * popcount` to the total
     distance. Clustering averages over all nodes, with degree < 2 nodes
-    contributing zero.
+    contributing zero; the links among a node's neighbours are the popcounts
+    of their masks ANDed with the node's mask, each link counted twice.
     """
     n = graph.node_count
     if n == 0:
@@ -196,11 +197,9 @@ def compute_stats(graph: SocialGraph) -> GraphStats:
 
     diameter = 0
     total_dist = 0
-    masks = [0] * n
+    masks = [sum(1 << nbr for nbr in nbrs) for nbrs in graph.adjacency]
     everyone = 0
     for node in largest:
-        for nbr in graph.neighbors(node):
-            masks[node] |= 1 << nbr
         everyone |= 1 << node
     for source in largest:
         seen = frontier = 1 << source
@@ -220,19 +219,12 @@ def compute_stats(graph: SocialGraph) -> GraphStats:
     pair_count = len(largest) * (len(largest) - 1)
     avg_path = total_dist / pair_count if pair_count else 0.0
 
-    neighbor_sets = [set(nbrs) for nbrs in graph.adjacency]
     clustering_sum = 0.0
-    for node in graph.nodes():
-        nbrs = graph.adjacency[node]
+    for nbrs, mask in zip(graph.adjacency, masks):
         deg = len(nbrs)
         if deg < 2:
             continue
-        links = 0
-        for i in range(deg):
-            s = neighbor_sets[nbrs[i]]
-            for j in range(i + 1, deg):
-                if nbrs[j] in s:
-                    links += 1
+        links = sum((masks[u] & mask).bit_count() for u in nbrs) // 2
         clustering_sum += 2.0 * links / (deg * (deg - 1))
 
     edge_count = graph.edge_count

@@ -96,13 +96,10 @@ def update_from_realized(
     params: UpdateParams,
 ) -> TrustRecord:
     """Blend realized quantities into the record's estimates."""
-    return TrustRecord(
-        s_hat=blend(record.s_hat, s, params.beta_s),
-        g_hat=blend(record.g_hat, g, params.beta_g),
-        d_hat=blend(record.d_hat, d, params.beta_d),
-        c_hat=blend(record.c_hat, c, params.beta_c),
-        interaction_count=record.interaction_count + 1,
-    )
+    s_hat, g_hat, d_hat, c_hat, count = record
+    beta_s, beta_g, beta_d, beta_c = params
+    return TrustRecord(blend(s_hat, s, beta_s), blend(g_hat, g, beta_g),
+                       blend(d_hat, d, beta_d), blend(c_hat, c, beta_c), count + 1)
 
 
 def update_estimates(record: TrustRecord, outcome: DelegationOutcome, params: UpdateParams) -> TrustRecord:

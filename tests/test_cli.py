@@ -112,9 +112,12 @@ class TestUsageErrors:
         ("all", {"tasks": [[0, [[0, math.nan]]]]}, "1"),
         ("all", {"tasks": [[0, [[0, 1e308], [1, 1e308]]]]}, "1"),
         ("all", {"use_features": True}, "1"),
+        ("profit", {"use_features": True}, "1"),
+        ("environment", {"use_features": True}, "1"),
     ], ids=["mutuality-no-trustors", "transitivity-no-trustors", "mutuality-zero-rounds",
             "mutuality-zero-runs", "all-nan-weight", "all-weight-sum-overflows",
-            "all-use-features-without-features"])
+            "all-use-features-without-features", "profit-use-features-without-features",
+            "environment-use-features-without-features"])
     def test_empty_request_set_rejected(self, capsys, tmp_path, command, scenario, runs):
         graph = tmp_path / "path4.edges"
         graph.write_text("0 1\n1 2\n2 3\n")

@@ -103,6 +103,22 @@ class TestUpdateEstimates:
             rec = eng.update_from_realized(rec, c, c, c, c, params)
         assert abs(abs(rec.s_hat - c) - beta ** n * abs(s0 - c)) < 1e-12
 
+    @settings(max_examples=200)
+    @given(st.tuples(unit, unit, unit, unit, st.integers(0, 10**6)), unit, unit, unit, unit,
+           st.lists(st.floats(0.0, 0.99), min_size=4, max_size=4, unique=True))
+    def test_each_field_blends_with_its_own_beta(self, fields, s, g, d, c, betas):
+        # the runs use one beta for all four fields, so a swapped beta or
+        # field shows only when the four differ
+        r = record(*fields)
+        p = eng.UpdateParams(*betas)
+        assert eng.update_from_realized(r, s, g, d, c, p) == TrustRecord(
+            s_hat=eng.blend(r.s_hat, s, p.beta_s),
+            g_hat=eng.blend(r.g_hat, g, p.beta_g),
+            d_hat=eng.blend(r.d_hat, d, p.beta_d),
+            c_hat=eng.blend(r.c_hat, c, p.beta_c),
+            interaction_count=r.interaction_count + 1,
+        )
+
 
 class TestEnvCorrect:
     def test_inverts_environment_scaling(self):

@@ -327,6 +327,43 @@ class TestEnvironment:
         assert exp_environment(None, sc, runs=3, master_seed=6) == \
             exp_environment(None, sc, runs=3, master_seed=6)
 
+    @pytest.mark.parametrize("sc", [
+        Scenario(),
+        Scenario(env_values=(0.5, 1.0, 0.25), env_noise=0.0),
+        Scenario(beta=0.0),
+    ], ids=["default", "noiseless-three-epochs", "beta-zero"])
+    def test_unit_matches_reference_loop(self, sc):
+        for run_idx in range(3):
+            entries, traces = experiments._environment_unit((sc, run_idx, 5))
+            assert traces == []
+            expected = reference_environment_series(sc, run_idx, 5)
+            assert entries == [(experiments.label(regime=regime), run_idx, {},
+                                {"s_hat": expected[regime]})
+                               for regime in ("baseline", "uncorrected", "corrected")]
+
+
+def reference_environment_series(sc, run_idx, master):
+    """The three regimes' s_hat series, one dict entry per regime, per step."""
+    def clamp(x):
+        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+    rng = random.Random(derive_seed(master, "environment", run_idx))
+    s_hat = {"baseline": sc.env_initial_s, "uncorrected": sc.env_initial_s,
+             "corrected": sc.env_initial_s}
+    series = {regime: [] for regime in s_hat}
+    for value in sc.env_values:
+        for _ in range(sc.env_epoch_length):
+            noise = rng.uniform(-sc.env_noise, sc.env_noise)
+            realized = {
+                "baseline": clamp(sc.env_competence + noise),
+                "uncorrected": clamp(sc.env_competence * value + noise),
+                "corrected": clamp(clamp(sc.env_competence * value + noise) / value),
+            }
+            for regime in s_hat:
+                s_hat[regime] = sc.beta * s_hat[regime] + (1.0 - sc.beta) * realized[regime]
+                series[regime].append(s_hat[regime])
+    return series
+
 
 def _demo_unit(run):
     return [("x=1", run, {"m": float(run)}, {"s": [float(run), 2.0 * run]})], [f"trace{run}"]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,24 @@ from siotrust.graph import (
 )
 
 from conftest import make_graph
+
+
+def small_graphs():
+    """Small graphs with isolated nodes, several components and triangles outside the largest."""
+    rng = random.Random(11)
+    graphs = [
+        make_graph(4, []),  # edgeless
+        make_graph(6, [(0, 1), (1, 2), (2, 3)]),  # isolated nodes 4 and 5
+        make_graph(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)]),
+        make_graph(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]),  # several components
+        # a 4-cycle is the largest component; the triangle 5-6-7 lies outside it
+        make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 5)]),
+    ]
+    for _ in range(25):
+        n = rng.randint(2, 8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+        graphs.append(make_graph(n, edges))
+    return graphs
 
 
 class TestLoadEdgeList:
@@ -166,18 +185,7 @@ class TestComputeStats:
         assert comps == [[0, 1, 2], [3, 4]]
 
     def test_floyd_warshall_oracle_small_graphs(self):
-        rng = random.Random(11)
-        graphs = [
-            make_graph(4, []),  # edgeless
-            make_graph(6, [(0, 1), (1, 2), (2, 3)]),  # isolated nodes 4 and 5
-            make_graph(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 8), (5, 8)]),
-            make_graph(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]),  # several components
-        ]
-        for _ in range(25):
-            n = rng.randint(2, 8)
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
-            graphs.append(make_graph(n, edges))
-        for g in graphs:
+        for g in small_graphs():
             st_ = compute_stats(g)
             comp = connected_components(g)[0]
             inf = float("inf")
@@ -195,6 +203,17 @@ class TestComputeStats:
                 assert abs(st_.avg_path_length - sum(pairs) / len(pairs)) < 1e-12
             else:
                 assert (st_.diameter, st_.avg_path_length) == (0, 0.0)
+
+    def test_brute_force_clustering_oracle_small_graphs(self):
+        for g in small_graphs():
+            total = 0.0
+            for v in g.nodes():  # summed in node order, as compute_stats sums
+                nbrs = g.neighbors(v)
+                deg = len(nbrs)
+                if deg >= 2:
+                    links = sum(1 for a, b in combinations(nbrs, 2) if g.has_edge(a, b))
+                    total += 2.0 * links / (deg * (deg - 1))
+            assert compute_stats(g).avg_clustering == total / g.node_count
 
     def test_facebook_like_values_pinned(self, fb_graph):
         # recorded with the per-node dict BFS that the bitset BFS replaced
