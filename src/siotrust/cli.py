@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="restrict transitivity to one method")
             p.add_argument("--characteristics", default=None,
                            help="comma list of characteristic counts")
-            p.add_argument("--trace", action="store_true", help="write a delegation trace log")
+            p.add_argument("--trace", action="store_true",
+                           help="write a delegation trace log (mutuality only)")
 
     stats_p = sub.add_parser("stats", help="print connectivity statistics for a graph")
     add_common(stats_p, with_experiment_flags=False)

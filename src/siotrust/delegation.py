@@ -148,10 +148,11 @@ class PathEvaluator:
     Row cache: `evidence_row` filters an index per (method, task, kind) with
     one test per neighbour. A one-hop walk never asks for a recommendation row.
 
-    Hops: one evaluator per method maps (observer, subject, kind, task) to
+    Hops: `hop_tw` maps (observer, subject, kind, task) to
     (covered-characteristic mask, trust or None), memoized per (observer,
-    subject, kind), per task on top. `direct_tw` (traditional) reads the
-    exact-task record; `full_tw` and `subset_tw` fall back to inference.
+    subject, kind), per task on top. A hop's trust does not depend on the
+    method; the method picks only which neighbours count as evidence
+    (`evidence_row`) and how a chain folds (`_best_paths`).
 
     Invalidation contract: every record written to the store after
     construction goes through `invalidate`, as run_delegation does.
@@ -169,9 +170,7 @@ class PathEvaluator:
         self.store = store
         self.tasks = tasks
         self._pair: dict = {}
-        self._direct: dict = {}
-        self._full: dict = {}
-        self._subset: dict = {}
+        self._hops: dict = {}
         self._neighbours: dict = {}
         self._evidence: dict = {}
 
@@ -187,9 +186,7 @@ class PathEvaluator:
         for kind in (SERVICE, RECOMMENDATION):
             key = (observer, subject, kind)
             self._pair.pop(key, None)
-            self._direct.pop(key, None)
-            self._full.pop(key, None)
-            self._subset.pop(key, None)
+            self._hops.pop(key, None)
             if structural:
                 self._neighbours.pop((observer, kind), None)
         if structural:
@@ -215,44 +212,30 @@ class PathEvaluator:
             self._pair[key] = hit
         return hit
 
-    def direct_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
-        """Trust from the record on the exact task, memoized until `invalidate`."""
-        bucket = self._direct.setdefault((observer, subject, kind), {})
-        hit = bucket.get(task.id)
-        if hit is None:
-            rec = self.store.get(observer, subject, task.id, kind)
-            hit = (0, None) if rec is None else (task.mask, eng.post_evaluate(rec))
-            bucket[task.id] = hit
-        return hit
+    def hop_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
+        """(covered-characteristic mask, trust or None) of one hop for `task`.
 
-    def full_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
-        """Trust over the whole task: the exact record, else inference with full coverage."""
-        bucket = self._full.setdefault((observer, subject, kind), {})
+        The exact-task record wins. Otherwise trust is inferred over the
+        characteristics the pair's records cover: none gives (0, None), all
+        of them `infer_task_tw`, some of them `infer_subset_tw` over those
+        parts. Memoized until `invalidate`.
+        """
+        bucket = self._hops.setdefault((observer, subject, kind), {})
         hit = bucket.get(task.id)
         if hit is None:
             rec = self.store.get(observer, subject, task.id, kind)
             if rec is not None:
-                value = eng.post_evaluate(rec)
+                hit = (task.mask, eng.post_evaluate(rec))
             else:
-                history = self.pair_info(observer, subject, kind)[2]
-                value = eng.infer_task_tw(history, task) if history else None
-            hit = bucket[task.id] = (task.mask, value)
-        return hit
-
-    def subset_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
-        """Trust over the hop's covered part of the task."""
-        bucket = self._subset.setdefault((observer, subject, kind), {})
-        hit = bucket.get(task.id)
-        if hit is None:
-            _, pair_mask, history = self.pair_info(observer, subject, kind)
-            covered = pair_mask & task.mask
-            if covered == 0:
-                hit = (0, None)
-            elif covered == task.mask:
-                hit = self.full_tw(observer, subject, kind, task)
-            else:
-                parts = [(c, w) for c, w in task.parts if (1 << c) & covered]
-                hit = (covered, eng.infer_subset_tw(history, parts) if history else None)
+                _, pair_mask, history = self.pair_info(observer, subject, kind)
+                covered = pair_mask & task.mask
+                if covered == 0:
+                    hit = (0, None)
+                elif covered == task.mask:
+                    hit = (covered, eng.infer_task_tw(history, task))
+                else:
+                    parts = [(c, w) for c, w in task.parts if (1 << c) & covered]
+                    hit = (covered, eng.infer_subset_tw(history, parts))
             bucket[task.id] = hit
         return hit
 
@@ -393,28 +376,23 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
 
     The graph, profiles, store and tasks are the evaluator's.
 
-    Relevance per method: traditional requires records on the exact task,
-    conservative records covering all target characteristics, aggressive
-    records covering any of them. The method picks the hop evaluator once:
-    `direct_tw`, `full_tw` or `subset_tw` of the evaluator. Candidates are
-    trustee-capable nodes whose method-specific transitivity value is not
-    blocked, in node order.
+    The method picks only the evidence test and the fold. Evidence:
+    traditional requires records on the exact task, conservative records
+    covering all target characteristics, aggressive records covering any of
+    them. Fold: traditional chains multiply, the others fold through
+    `transit_pair`. Every hop reads the evaluator's `hop_tw`. Candidates are
+    trustee-capable nodes whose transitivity value is not blocked, in node
+    order.
     """
     params = request.transitivity
     method = params.method
     task = request.task
     trustor = request.trustor
-    if method == eng.TRADITIONAL:
-        hop = evaluator.direct_tw
-    elif method == eng.CONSERVATIVE:
-        hop = evaluator.full_tw
-    else:
-        hop = evaluator.subset_tw
     svc_row = partial(evaluator.evidence_row, method, task, SERVICE)
     rec_row = partial(evaluator.evidence_row, method, task, RECOMMENDATION)
 
     interrogated = _interrogate(svc_row, rec_row, trustor, params.max_hops)
-    best = _best_paths(svc_row, rec_row, hop, trustor, task, params)
+    best = _best_paths(svc_row, rec_row, evaluator.hop_tw, trustor, task, params)
 
     if method != eng.AGGRESSIVE:
         candidates = [Candidate(t, value, path) for t, (value, path) in sorted(best.items())]

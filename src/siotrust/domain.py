@@ -328,7 +328,8 @@ _SCENARIO_FIELDS = (
     ("dishonest_fraction", 0.5, float, None, _UNIT),
     ("taint_penalty", 0.5, float, None, _UNIT),
     # transitivity
-    ("char_counts", (4, 5, 6, 7), int, 1, _AT_LEAST_1),
+    # None: the generated grid (4, 5, 6, 7), or no grid beside explicit tasks
+    ("char_counts", None, int, 1, _AT_LEAST_1),
     ("methods", METHODS, str, 1, _METHOD),
     ("tasks_per_node", 2, int, None, _AT_LEAST_1),
     ("service_density", 0.25, float, None, _UNIT),
@@ -395,8 +396,10 @@ class Scenario:
                 raise ScenarioError(f"{name} must not be empty")
             for i, entry in enumerate(value):
                 _check_field(f"{name}[{i}]", entry, kind, allowed)
+        if self.char_counts is None and not self.tasks:
+            self.char_counts = (4, 5, 6, 7)
         for name, key in _DISTINCT_KEYS.items():
-            keys = [key(v) for v in getattr(self, name)]
+            keys = [key(v) for v in getattr(self, name) or ()]
             for i, k in enumerate(keys):
                 if k in keys[:i]:
                     raise ScenarioError(f"{name}[{i}] repeats {k}")
@@ -411,7 +414,7 @@ class Scenario:
             raise ScenarioError(f"bad task definitions: {exc}") from exc
         self.task_objects()
         # explicit tasks are one grid point, so a given grid would be ignored
-        if self.tasks and "char_counts" in given:
+        if self.tasks and self.char_counts is not None:
             raise ScenarioError("char_counts cannot be combined with explicit tasks")
         # the set fields, which `replace` carries over
         self._given = frozenset(given)

@@ -399,7 +399,7 @@ def _inference_unit(args):
                 rec_a, rec_b = seeded[t]
                 store.put(x, t, TAINTED_TASK, SERVICE, rec_a)
                 store.put(x, t, CLEAN_TASK, SERVICE, rec_b)
-                trust_in[t] = evaluator.full_tw(x, t, SERVICE, target)[1]
+                trust_in[t] = evaluator.hop_tw(x, t, SERVICE, target)[1]
             tw = trust_in[t]
             if tw is not None and (best_tw is None or tw > best_tw or (tw == best_tw and t < best)):
                 best, best_tw = t, tw

@@ -202,6 +202,24 @@ class TestUsageErrors:
 
 
 class TestExperimentRuns:
+    def test_explicit_task_scenario_echo_runs_again(self, capsys, tmp_path):
+        # the echoed scenario of an explicit-task run holds no grid, so it
+        # can be fed back as a scenario file and gives the same outputs
+        first = tmp_path / "s.json"
+        first.write_text(json.dumps({"tasks": [[0, [[0, 1.0]]], [1, [[1, 1.0]]]]}))
+        args = ["transitivity", "--runs", "1", "--out"]
+        code, _, _ = run_cli(capsys, *args, str(tmp_path / "a"), "--scenario", str(first))
+        assert code == 0
+        echoed = json.loads((tmp_path / "a" / "summary.json").read_text())["scenario"]
+        assert echoed["char_counts"] is None
+        again = tmp_path / "echo.json"
+        again.write_text(json.dumps(echoed))
+        code, _, err = run_cli(capsys, *args, str(tmp_path / "b"), "--scenario", str(again))
+        assert code == 0, err
+        for name in ("metrics_transitivity.csv", "summary.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
     def test_environment_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(capsys, "environment", "--runs", "3",

@@ -32,7 +32,7 @@ from siotrust.domain import (
 from siotrust.report import write_trace_log
 
 from conftest import make_graph
-from test_transitivity import oracle_discover, random_instance
+from test_transitivity import _oracle_subset_tw, _oracle_tw, oracle_discover, random_instance
 
 
 class StubRng:
@@ -374,6 +374,33 @@ class TestEvaluatorCoherence:
                         assert ({c.node: c.trust for c in reused.candidates}
                                 == {n: e[0] for n, e in expected.items()}), where
         assert rejections and writes
+
+
+class TestHopTw:
+    def test_hop_tw_matches_oracle_on_random_worlds(self):
+        # One hop rule for every method: the exact-task record wins, else
+        # inference over the covered characteristics, renormalized when the
+        # coverage is partial
+        lookups = exact = partial = 0
+        for seed in range(40):
+            graph, store, profiles, _, _, _, tasks = random_instance(seed)
+            ev = PathEvaluator(graph, profiles, store, tasks)
+            for o in graph.nodes():
+                for s in graph.neighbors(o):
+                    for kind in (SERVICE, RECOMMENDATION):
+                        for task in tasks.values():
+                            covered, value = ev.hop_tw(o, s, kind, task)
+                            chars, expected = _oracle_subset_tw(store, tasks, o, s, kind, task)
+                            where = (seed, o, s, kind, task.id)
+                            assert covered == sum(1 << c for c in chars), where
+                            assert value == expected, where
+                            rec = store.get(o, s, task.id, kind)
+                            if rec is not None:
+                                assert value == _oracle_tw(rec), where
+                                exact += 1
+                            partial += covered not in (0, task.mask)
+                            lookups += 1
+        assert lookups and exact and partial
 
 
 class TestDeterminism:

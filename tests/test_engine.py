@@ -221,7 +221,7 @@ class TestInference:
 
 def full_tw(store, tasks, target):
     """Node 0's trust in node 1 for `target`, as discovery and the inference unit read it."""
-    return PathEvaluator(make_graph(2, [(0, 1)]), {}, store, tasks).full_tw(0, 1, SERVICE, target)[1]
+    return PathEvaluator(make_graph(2, [(0, 1)]), {}, store, tasks).hop_tw(0, 1, SERVICE, target)[1]
 
 
 class TestTaskTrust:
