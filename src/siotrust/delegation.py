@@ -14,7 +14,6 @@ the rng state.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import trust_engine as eng
@@ -138,19 +137,32 @@ class PathEvaluator:
     the task vocabulary; discovery and the protocol read them only through
     it.
 
+    Pair info: `pair_info` reads a pair's records once and keeps, per
+    (observer, subject, kind), the post-evaluated trust of each exact task
+    id, the covered-characteristic mask and the (task, tw) history. Records
+    on task ids outside the task map are left out.
+
     Neighbour index: per (node, record kind), built from `pair_info` at
     most once and only when a walk first asks, the node's neighbours in
-    `graph.neighbors` order as (neighbour, exact task ids,
+    `graph.neighbors` order as (neighbour, `pair_info`'s exact-task dict,
     covered-characteristic mask). Neighbours without records are left out,
     since an empty mask passes no method's test; the service list skips
-    non-trustees before calling `pair_info`.
+    non-trustees before calling `pair_info`. The index reads only the exact
+    dict's keys, which a value-only write cannot change.
 
-    Row cache: `evidence_row` filters an index per (method, task, kind) with
-    one test per neighbour. A one-hop walk never asks for a recommendation row.
+    Row cache: `evidence_rows(method, task, kind)` maps a node to its
+    evidenced neighbours; `evidence_row` builds a missing entry by
+    filtering the index with one test per neighbour. A walk fetches the map
+    once and reads it in place. A one-hop walk never builds a
+    recommendation row.
 
     Hops: `hop_tw` maps (observer, subject, kind, task) to
-    (covered-characteristic mask, trust or None), memoized per (observer,
-    subject, kind), per task on top. A hop's trust does not depend on the
+    (covered-characteristic mask, trust or None). The memo holds one row
+    per (observer, kind, task id), a dict from subject to that pair, in
+    `_hops[(observer, kind)][task id]`. A walk reads the row of each node
+    it pops in place; on a miss it computes the hop through `_new_hop`, as
+    `hop_tw` does. The exact-task trust comes from `pair_info`, so a hop
+    never reads the store itself. A hop's trust does not depend on the
     method; the method picks only which neighbours count as evidence
     (`evidence_row`) and how a chain folds (`_best_paths`).
 
@@ -178,15 +190,17 @@ class PathEvaluator:
         """Drop cached hop data after the observer's records about subject changed.
 
         A value-only write (an existing record updated) drops that pair's
-        hop cache and keeps the index and rows, whose ids and masks it
-        cannot change. `structural` marks a newly created record, which
-        also drops the observer's neighbour index entries and evidence rows
-        of both kinds.
+        info and the observer's hops to subject for every task, and keeps
+        the index and rows, whose ids and masks it cannot change.
+        `structural` marks a newly created record, which also drops the
+        observer's neighbour index entries and evidence rows of both kinds.
         """
         for kind in (SERVICE, RECOMMENDATION):
-            key = (observer, subject, kind)
-            self._pair.pop(key, None)
-            self._hops.pop(key, None)
+            self._pair.pop((observer, subject, kind), None)
+            by_task = self._hops.get((observer, kind))
+            if by_task is not None:
+                for row in by_task.values():
+                    row.pop(subject, None)
             if structural:
                 self._neighbours.pop((observer, kind), None)
         if structural:
@@ -194,23 +208,33 @@ class PathEvaluator:
                 rows.pop(observer, None)
 
     def pair_info(self, observer: int, subject: int, kind: str):
-        """(exact task ids, covered-characteristic mask, (task, tw) history)."""
+        """({exact task id: post-evaluated tw}, covered-characteristic mask, (task, tw) history)."""
         key = (observer, subject, kind)
         hit = self._pair.get(key)
         if hit is None:
-            ids = set()
+            exact = {}
             mask = 0
             history = []
             for task_id, rec in self.store.task_records(observer, subject, kind):
                 task = self.tasks.get(task_id)
                 if task is None:
                     continue
-                ids.add(task_id)
+                tw = exact[task_id] = eng.post_evaluate(rec)
                 mask |= task.mask
-                history.append((task, eng.post_evaluate(rec)))
-            hit = (frozenset(ids), mask, tuple(history))
+                history.append((task, tw))
+            hit = (exact, mask, tuple(history))
             self._pair[key] = hit
         return hit
+
+    def hop_row(self, observer: int, kind: str, task_id: int) -> dict:
+        """The memo row of `observer`'s hops of one kind for one task: subject -> `hop_tw`."""
+        by_task = self._hops.get((observer, kind))
+        if by_task is None:
+            by_task = self._hops[observer, kind] = {}
+        row = by_task.get(task_id)
+        if row is None:
+            row = by_task[task_id] = {}
+        return row
 
     def hop_tw(self, observer: int, subject: int, kind: str, task: Task) -> tuple[int, Optional[float]]:
         """(covered-characteristic mask, trust or None) of one hop for `task`.
@@ -218,29 +242,38 @@ class PathEvaluator:
         The exact-task record wins. Otherwise trust is inferred over the
         characteristics the pair's records cover: none gives (0, None), all
         of them `infer_task_tw`, some of them `infer_subset_tw` over those
-        parts. Memoized until `invalidate`.
+        parts. Memoized until `invalidate`. A task id outside the task map
+        raises ValueError, since `pair_info` would not see its records.
         """
-        bucket = self._hops.setdefault((observer, subject, kind), {})
-        hit = bucket.get(task.id)
-        if hit is None:
-            rec = self.store.get(observer, subject, task.id, kind)
-            if rec is not None:
-                hit = (task.mask, eng.post_evaluate(rec))
+        row = self.hop_row(observer, kind, task.id)
+        hit = row.get(subject)
+        return hit if hit is not None else self._new_hop(row, observer, subject, kind, task)
+
+    def _new_hop(self, row: dict, observer: int, subject: int, kind: str,
+                 task: Task) -> tuple[int, Optional[float]]:
+        """`hop_tw`'s value on a memo miss, stored in the observer's `row`."""
+        task_id = task.id
+        if task_id not in self.tasks:
+            raise ValueError(f"task {task_id} is not in the evaluator's task map")
+        exact, pair_mask, history = self.pair_info(observer, subject, kind)
+        tw = exact.get(task_id)
+        task_mask = task.mask
+        if tw is not None:
+            hit = (task_mask, tw)
+        else:
+            covered = pair_mask & task_mask
+            if covered == 0:
+                hit = (0, None)
+            elif covered == task_mask:
+                hit = (covered, eng.infer_task_tw(history, task))
             else:
-                _, pair_mask, history = self.pair_info(observer, subject, kind)
-                covered = pair_mask & task.mask
-                if covered == 0:
-                    hit = (0, None)
-                elif covered == task.mask:
-                    hit = (covered, eng.infer_task_tw(history, task))
-                else:
-                    parts = [(c, w) for c, w in task.parts if (1 << c) & covered]
-                    hit = (covered, eng.infer_subset_tw(history, parts))
-            bucket[task.id] = hit
+                parts = [(c, w) for c, w in task.parts if (1 << c) & covered]
+                hit = (covered, eng.infer_subset_tw(history, parts))
+        row[subject] = hit
         return hit
 
     def _neighbour_index(self, node: int, kind: str):
-        """(neighbour, exact task ids, mask) of `node`'s evidenced neighbours of one kind."""
+        """(neighbour, exact-task dict, mask) of `node`'s evidenced neighbours of one kind."""
         hit = self._neighbours.get((node, kind))
         if hit is None:
             nbrs = self.graph.neighbors(node)
@@ -248,11 +281,18 @@ class PathEvaluator:
                 nbrs = [n for n in nbrs if n in self.profiles and self.profiles[n].is_trustee]
             hit = []
             for nbr in nbrs:
-                ids, mask, _ = self.pair_info(node, nbr, kind)
+                exact, mask, _ = self.pair_info(node, nbr, kind)
                 if mask:
-                    hit.append((nbr, ids, mask))
+                    hit.append((nbr, exact, mask))
             self._neighbours[node, kind] = hit
         return hit
+
+    def evidence_rows(self, method: str, task: Task, kind: str) -> dict:
+        """The row cache of one (method, task, kind): node -> `evidence_row`, as built so far."""
+        rows = self._evidence.get((method, task.id, kind))
+        if rows is None:
+            rows = self._evidence[method, task.id, kind] = {}
+        return rows
 
     def evidence_row(self, method: str, task: Task, kind: str, node: int) -> tuple[int, ...]:
         """Evidenced out-edges of `node` of one kind: relay targets or trustees.
@@ -261,7 +301,7 @@ class PathEvaluator:
         (traditional), every task characteristic (conservative) or any of
         them (aggressive). Gates are applied later, during path evaluation.
         """
-        rows = self._evidence.setdefault((method, task.id, kind), {})
+        rows = self.evidence_rows(method, task, kind)
         hit = rows.get(node)
         if hit is None:
             hit = rows[node] = _evidenced(self._neighbour_index(node, kind), method, task)
@@ -272,17 +312,15 @@ def _evidenced(entries, method: str, task: Task) -> tuple[int, ...]:
     """The neighbours in `entries` whose evidence passes the method's test."""
     if method == eng.TRADITIONAL:
         task_id = task.id
-        return tuple(nbr for nbr, ids, _ in entries if task_id in ids)
+        return tuple([nbr for nbr, exact, _ in entries if task_id in exact])
     task_mask = task.mask
     if method == eng.CONSERVATIVE:
-        return tuple(nbr for nbr, _, mask in entries if mask & task_mask == task_mask)
-    return tuple(nbr for nbr, _, mask in entries if mask & task_mask)
+        return tuple([nbr for nbr, _, mask in entries if mask & task_mask == task_mask])
+    return tuple([nbr for nbr, _, mask in entries if mask & task_mask])
 
 
-def _prefer(new: tuple[float, tuple[int, ...]], cur: Optional[tuple[float, tuple[int, ...]]]) -> bool:
+def _prefer(new: tuple[float, tuple[int, ...]], cur: tuple[float, tuple[int, ...]]) -> bool:
     """Best path: higher value, then fewer hops, then lexicographically smaller."""
-    if cur is None:
-        return True
     if new[0] != cur[0]:
         return new[0] > cur[0]
     if len(new[1]) != len(cur[1]):
@@ -290,8 +328,13 @@ def _prefer(new: tuple[float, tuple[int, ...]], cur: Optional[tuple[float, tuple
     return new[1] < cur[1]
 
 
-def _interrogate(svc_row, rec_row, trustor: int, max_hops: int) -> frozenset[int]:
+def _interrogate(evaluator: PathEvaluator, trustor: int, task: Task,
+                 params: eng.TransitivityParams) -> frozenset[int]:
     """The ungated sweep: breadth-first through evidenced relays, trustor excluded."""
+    method, max_hops = params.method, params.max_hops
+    build_row = evaluator.evidence_row
+    svc_rows = evaluator.evidence_rows(method, task, SERVICE)
+    rec_rows = evaluator.evidence_rows(method, task, RECOMMENDATION)
     interrogated: set[int] = set()
     reached = {trustor}
     current = [trustor]
@@ -300,9 +343,15 @@ def _interrogate(svc_row, rec_row, trustor: int, max_hops: int) -> frozenset[int
         nxt = []
         relay = depth + 1 <= max_hops - 1
         for o in current:
-            interrogated.update(svc_row(o))
+            svc = svc_rows.get(o)
+            if svc is None:
+                svc = build_row(method, task, SERVICE, o)
+            interrogated.update(svc)
             if relay:
-                for s in rec_row(o):
+                rec = rec_rows.get(o)
+                if rec is None:
+                    rec = build_row(method, task, RECOMMENDATION, o)
+                for s in rec:
                     if s != trustor and s not in reached:
                         interrogated.add(s)
                         reached.add(s)
@@ -313,7 +362,7 @@ def _interrogate(svc_row, rec_row, trustor: int, max_hops: int) -> frozenset[int
     return frozenset(interrogated)
 
 
-def _best_paths(svc_row, rec_row, hop, trustor: int, task: Task, params: eng.TransitivityParams) -> dict:
+def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.TransitivityParams) -> dict:
     """Depth-first search over gated hops, as an explicit stack.
 
     Returns the best (value, path) per reached trustee or, for the
@@ -321,9 +370,13 @@ def _best_paths(svc_row, rec_row, hop, trustor: int, task: Task, params: eng.Tra
     is a total order over distinct paths, so the visiting order does not
     change the result.
     """
-    method = params.method
-    omega1, omega2 = params.omega1, params.omega2
+    method, omega1, omega2 = params.method, params.omega1, params.omega2
     relay_len = params.max_hops - 1
+    task_id = task.id
+    build_row, hop_row, new_hop = evaluator.evidence_row, evaluator.hop_row, evaluator._new_hop
+    svc_rows = evaluator.evidence_rows(method, task, SERVICE)
+    rec_rows = evaluator.evidence_rows(method, task, RECOMMENDATION)
+    transit = eng.transit_pair
     # traditional chains multiply; the other methods fold through transit_pair
     multiply = method == eng.TRADITIONAL
     aggressive = method == eng.AGGRESSIVE
@@ -333,40 +386,57 @@ def _best_paths(svc_row, rec_row, hop, trustor: int, task: Task, params: eng.Tra
     while stack:
         path, prefix, carried = stack.pop()
         o = path[-1]
-        for t in svc_row(o):
-            if t == trustor or t in path:
-                continue
-            covered, tw = hop(o, t, SERVICE, task)
-            if tw is None or tw < omega2:
-                continue
-            final_carried = carried & covered
-            if not final_carried:
-                continue
-            if prefix is not None:
-                tw = prefix * tw if multiply else eng.transit_pair(prefix, tw)
-            entry = (tw, path + (t,))
-            if aggressive:
-                per_char = best.setdefault(t, {})
-                for char_id, bit in char_bits:
-                    if bit & final_carried and _prefer(entry, per_char.get(char_id)):
-                        per_char[char_id] = entry
-            else:
-                cur = best.get(t)
-                if cur is None or _prefer(entry, cur):
-                    best[t] = entry
+        svc = svc_rows.get(o)
+        if svc is None:
+            svc = build_row(method, task, SERVICE, o)
+        if svc:
+            hops = hop_row(o, SERVICE, task_id)
+            for t in svc:
+                if t == trustor or t in path:
+                    continue
+                hit = hops.get(t)
+                covered, tw = hit if hit is not None else new_hop(hops, o, t, SERVICE, task)
+                if tw is None or tw < omega2:
+                    continue
+                final_carried = carried & covered
+                if not final_carried:
+                    continue
+                if prefix is not None:
+                    tw = prefix * tw if multiply else transit(prefix, tw)
+                entry = (tw, path + (t,))
+                if aggressive:
+                    per_char = best.get(t)
+                    if per_char is None:
+                        per_char = best[t] = {}
+                    for char_id, bit in char_bits:
+                        if bit & final_carried:
+                            cur = per_char.get(char_id)
+                            if cur is None or _prefer(entry, cur):
+                                per_char[char_id] = entry
+                else:
+                    cur = best.get(t)
+                    if cur is None or _prefer(entry, cur):
+                        best[t] = entry
         if len(path) > relay_len:
             continue
-        for s in rec_row(o):
+        rec = rec_rows.get(o)
+        if rec is None:
+            rec = build_row(method, task, RECOMMENDATION, o)
+        if not rec:
+            continue
+        hops = hop_row(o, RECOMMENDATION, task_id)
+        for s in rec:
             if s == trustor or s in path:
                 continue
-            covered, tw = hop(o, s, RECOMMENDATION, task)
+            hit = hops.get(s)
+            covered, tw = hit if hit is not None else new_hop(hops, o, s, RECOMMENDATION, task)
             if tw is None or tw < omega1:
                 continue
             next_carried = carried & covered
             if not next_carried:
                 continue
             if prefix is not None:
-                tw = prefix * tw if multiply else eng.transit_pair(prefix, tw)
+                tw = prefix * tw if multiply else transit(prefix, tw)
             stack.append((path + (s,), tw, next_carried))
     return best
 
@@ -380,19 +450,16 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
     traditional requires records on the exact task, conservative records
     covering all target characteristics, aggressive records covering any of
     them. Fold: traditional chains multiply, the others fold through
-    `transit_pair`. Every hop reads the evaluator's `hop_tw`. Candidates are
-    trustee-capable nodes whose transitivity value is not blocked, in node
-    order.
+    `transit_pair`. Every hop reads the evaluator's hop memo (`hop_tw`).
+    Candidates are trustee-capable nodes whose transitivity value is not
+    blocked, in node order.
     """
     params = request.transitivity
     method = params.method
     task = request.task
     trustor = request.trustor
-    svc_row = partial(evaluator.evidence_row, method, task, SERVICE)
-    rec_row = partial(evaluator.evidence_row, method, task, RECOMMENDATION)
-
-    interrogated = _interrogate(svc_row, rec_row, trustor, params.max_hops)
-    best = _best_paths(svc_row, rec_row, evaluator.hop_tw, trustor, task, params)
+    interrogated = _interrogate(evaluator, trustor, task, params)
+    best = _best_paths(evaluator, trustor, task, params)
 
     if method != eng.AGGRESSIVE:
         candidates = [Candidate(t, value, path) for t, (value, path) in sorted(best.items())]

@@ -78,8 +78,9 @@ def net_profit(record: TrustRecord) -> float:
 
 
 def post_evaluate(record: TrustRecord) -> float:
-    """Normalized trustworthiness of a record: profit mapped into [0, 1]."""
-    return normalize(net_profit(record))
+    """Normalized trustworthiness of a record: its `net_profit` mapped into [0, 1]."""
+    s_hat, g_hat, d_hat, c_hat, _ = record
+    return normalize(s_hat * g_hat - (1.0 - s_hat) * d_hat - c_hat)
 
 
 def blend(old: float, new: float, beta: float) -> float:

@@ -5,6 +5,7 @@ import math
 import random
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -401,6 +402,39 @@ class TestHopTw:
                             partial += covered not in (0, task.mask)
                             lookups += 1
         assert lookups and exact and partial
+
+    def test_value_write_drops_every_task_hop_to_subject_only(self):
+        # Two tasks over one characteristic: task 1's hop is inferred from the
+        # task-0 record, so a value-only write to (0, 1) must reach the memo
+        # rows of both tasks. The hops to 2 stay memoized: the same objects
+        # come back, still holding the values of the overwritten records.
+        graph = make_graph(3, [(0, 1), (0, 2)])
+        tasks = {0: make_task(0, [(0, 1.0)]), 1: make_task(1, [(0, 1.0)])}
+        store = TrustStore()
+        for kind in KINDS:
+            store.put(0, 1, 0, kind, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
+            store.put(0, 2, 0, kind, TrustRecord(0.8, 1.0, 1.0, 0.0, 1))
+        ev = PathEvaluator(graph, {}, store, tasks)
+        before = {(s, kind, t): ev.hop_tw(0, s, kind, tasks[t])
+                  for s in (1, 2) for kind in KINDS for t in tasks}
+        for kind in KINDS:
+            store.put(0, 1, 0, kind, TrustRecord(0.2, 1.0, 1.0, 0.0, 2))
+            store.put(0, 2, 0, kind, TrustRecord(0.3, 1.0, 1.0, 0.0, 2))
+        ev.invalidate(0, 1)
+        fresh = PathEvaluator(graph, {}, store, tasks)
+        for kind in KINDS:
+            for t in tasks:
+                assert ev.hop_tw(0, 1, kind, tasks[t]) == fresh.hop_tw(0, 1, kind, tasks[t])
+                assert ev.hop_tw(0, 1, kind, tasks[t]) != before[1, kind, t]
+                assert ev.hop_tw(0, 2, kind, tasks[t]) is before[2, kind, t]
+
+    def test_task_outside_the_task_map_is_rejected(self):
+        # the exact-task trust comes from pair_info, which sees only mapped tasks
+        store = TrustStore()
+        store.put(0, 1, 7, SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
+        ev = PathEvaluator(make_graph(2, [(0, 1)]), {}, store, {0: make_task(0, [(0, 1.0)])})
+        with pytest.raises(ValueError, match="task 7"):
+            ev.hop_tw(0, 1, SERVICE, make_task(7, [(0, 1.0)]))
 
 
 class TestDeterminism:
