@@ -219,7 +219,8 @@ def _run_experiments(names, args) -> int:
     }
     for which in names:
         spec = ExperimentSpec(which=which, scenario=scenario, runs=args.runs, master_seed=args.seed)
-        trace_sink = [] if (args.trace and which == "mutuality") else None
+        # only the mutuality and all subcommands have --trace
+        trace_sink = [] if (which == "mutuality" and args.trace) else None
         started = time.perf_counter()
         rows = run_experiment_rows(spec, graph, jobs=args.jobs, trace_sink=trace_sink)
         elapsed = time.perf_counter() - started
@@ -275,15 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
                            help="restrict transitivity to one method")
             p.add_argument("--characteristics", default=None,
                            help="comma list of characteristic counts")
-            p.add_argument("--trace", action="store_true",
-                           help="write a delegation trace log (mutuality only)")
 
     stats_p = sub.add_parser("stats", help="print connectivity statistics for a graph")
     add_common(stats_p, with_experiment_flags=False)
 
-    for which in EXPERIMENTS:
-        add_common(sub.add_parser(which, help=f"run the {which} experiment"))
-    add_common(sub.add_parser("all", help="run all five experiments"))
+    runners = {which: sub.add_parser(which, help=f"run the {which} experiment")
+               for which in EXPERIMENTS}
+    runners["all"] = sub.add_parser("all", help="run all five experiments")
+    for p in runners.values():
+        add_common(p)
+    # argparse refuses --trace elsewhere, since no other experiment traces
+    for which in ("mutuality", "all"):
+        runners[which].add_argument("--trace", action="store_true",
+                                    help="write the mutuality experiment's delegation trace log")
     return parser
 
 

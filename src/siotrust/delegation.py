@@ -14,6 +14,7 @@ the rng state.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import trust_engine as eng
@@ -50,6 +51,11 @@ class Candidate(NamedTuple):
     char_paths: Optional[dict[int, tuple[int, ...]]] = None
 
 
+# `Candidate.trust` as a C-level sort key
+_TRUST = itemgetter(1)
+_new_tuple = tuple.__new__
+
+
 class DiscoveryResult(NamedTuple):
     candidates: tuple[Candidate, ...]
     interrogated: frozenset[int]
@@ -63,6 +69,9 @@ class DiscoveryResult(NamedTuple):
 # keys are float trust values in [0, 1], never -0.0, so equal keys round alike.
 # It is a pure cache, shared by the process and cleared past 4,096 entries.
 _ROUNDED: dict[float, float] = {}
+# Memo of `repr(t)` for the rounded values `_ROUNDED` gives, under the same
+# key rule and clearing; `repr` of a float is most of an encoded trace line.
+_TEXT: dict[float, str] = {}
 _JSON_BOOL = {True: "true", False: "false"}
 
 
@@ -109,8 +118,13 @@ class DelegationTrace(NamedTuple):
 
         Keys are sorted and there are no spaces. The floats are finite, since
         records and outcomes are validated to [0, 1], and for a finite float
-        `repr` is what `json` writes.
+        `repr` is what `json` writes. The ranked and rejection values, which
+        `to_dict` rounds, take their text from the `_TEXT` memo; the outcome
+        floats are not rounded and are written with a plain `repr`, so that
+        `-0.0` keeps its sign.
         """
+        if len(_TEXT) > 4096:
+            _TEXT.clear()
         d = self.to_dict()
         chosen = d["chosen"] if self.chosen is not None else f'"{d["chosen"]}"'
         o = d.get("outcome")
@@ -126,8 +140,10 @@ class DelegationTrace(NamedTuple):
 
 
 def _json_pairs(pairs) -> str:
-    """`[[node, value], ...]` as JSON, without the outer brackets."""
-    return ",".join([f"[{n},{t!r}]" for n, t in pairs])
+    """`[[node, value], ...]` as JSON, without the outer brackets; value text from `_TEXT`."""
+    text = _TEXT
+    return ",".join([f"[{n},{text[t] if t in text else text.setdefault(t, repr(t))}]"
+                     for n, t in pairs])
 
 
 class PathEvaluator:
@@ -329,12 +345,14 @@ def _prefer(new: tuple[float, tuple[int, ...]], cur: tuple[float, tuple[int, ...
 
 
 def _interrogate(evaluator: PathEvaluator, trustor: int, task: Task,
-                 params: eng.TransitivityParams) -> frozenset[int]:
-    """The ungated sweep: breadth-first through evidenced relays, trustor excluded."""
+                 params: eng.TransitivityParams, svc_rows: dict, rec_rows: dict) -> frozenset[int]:
+    """The ungated sweep: breadth-first through evidenced relays, trustor excluded.
+
+    `svc_rows` and `rec_rows` are the evaluator's `evidence_rows` of the
+    method and task, service and recommendation.
+    """
     method, max_hops = params.method, params.max_hops
     build_row = evaluator.evidence_row
-    svc_rows = evaluator.evidence_rows(method, task, SERVICE)
-    rec_rows = evaluator.evidence_rows(method, task, RECOMMENDATION)
     interrogated: set[int] = set()
     reached = {trustor}
     current = [trustor]
@@ -362,25 +380,24 @@ def _interrogate(evaluator: PathEvaluator, trustor: int, task: Task,
     return frozenset(interrogated)
 
 
-def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.TransitivityParams) -> dict:
+def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.TransitivityParams,
+                svc_rows: dict, rec_rows: dict) -> dict:
     """Depth-first search over gated hops, as an explicit stack.
 
     Returns the best (value, path) per reached trustee or, for the
     aggressive method, per trustee and carried characteristic. `_prefer`
     is a total order over distinct paths, so the visiting order does not
-    change the result.
+    change the result. The rows are `_interrogate`'s.
     """
     method, omega1, omega2 = params.method, params.omega1, params.omega2
     relay_len = params.max_hops - 1
     task_id = task.id
     build_row, hop_row, new_hop = evaluator.evidence_row, evaluator.hop_row, evaluator._new_hop
-    svc_rows = evaluator.evidence_rows(method, task, SERVICE)
-    rec_rows = evaluator.evidence_rows(method, task, RECOMMENDATION)
     transit = eng.transit_pair
     # traditional chains multiply; the other methods fold through transit_pair
     multiply = method == eng.TRADITIONAL
     aggressive = method == eng.AGGRESSIVE
-    char_bits = [(char_id, 1 << char_id) for char_id in task.char_ids]
+    char_bits = [(char_id, 1 << char_id) for char_id in task.char_ids] if aggressive else None
     best: dict = {}
     stack = [((trustor,), None, task.mask)]
     while stack:
@@ -451,18 +468,25 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
     covering all target characteristics, aggressive records covering any of
     them. Fold: traditional chains multiply, the others fold through
     `transit_pair`. Every hop reads the evaluator's hop memo (`hop_tw`).
-    Candidates are trustee-capable nodes whose transitivity value is not
-    blocked, in node order.
+    The two `evidence_rows` maps of the method and task are fetched once
+    here, for the sweep and the walk. Candidates are trustee-capable nodes
+    whose transitivity value is not blocked, in node order, which
+    `rank_candidates` relies on.
     """
     params = request.transitivity
     method = params.method
     task = request.task
     trustor = request.trustor
-    interrogated = _interrogate(evaluator, trustor, task, params)
-    best = _best_paths(evaluator, trustor, task, params)
+    svc_rows = evaluator.evidence_rows(method, task, SERVICE)
+    rec_rows = evaluator.evidence_rows(method, task, RECOMMENDATION)
+    interrogated = _interrogate(evaluator, trustor, task, params, svc_rows, rec_rows)
+    best = _best_paths(evaluator, trustor, task, params, svc_rows, rec_rows)
 
+    # the candidates are built as `_new_tuple` builds validated tuples in
+    # `domain`, without the NamedTuple's Python-level `__new__`
     if method != eng.AGGRESSIVE:
-        candidates = [Candidate(t, value, path) for t, (value, path) in sorted(best.items())]
+        candidates = [_new_tuple(Candidate, (t, value, path, None))
+                      for t, (value, path) in sorted(best.items())]
         return DiscoveryResult(tuple(candidates), interrogated)
     candidates = []
     for t in sorted(best):
@@ -474,7 +498,7 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
         for char_id, weight in task.parts:
             value += weight * per_char[char_id][0]
         shortest = min(char_paths.values(), key=lambda p: (len(p), p))
-        candidates.append(Candidate(t, value, shortest, char_paths))
+        candidates.append(_new_tuple(Candidate, (t, value, shortest, char_paths)))
     return DiscoveryResult(tuple(candidates), interrogated)
 
 
@@ -524,10 +548,13 @@ def draw_outcome(
 def rank_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
     """Highest discovered trust first, ties to the lower node id.
 
-    The protocol and the transitivity experiment rank by trust alone; the
-    success_only and full_profit strategies are the profit experiment's.
+    `candidates` must be in node order, as `find_potential_trustees`
+    returns them: the sort is by trust alone, and a stable sort keeps tied
+    trusts in their given order under `reverse` too. The protocol and the
+    transitivity experiment rank by trust alone; the success_only and
+    full_profit strategies are the profit experiment's.
     """
-    return sorted(candidates, key=lambda c: (-c.trust, c.node))
+    return sorted(candidates, key=_TRUST, reverse=True)
 
 
 def run_delegation(

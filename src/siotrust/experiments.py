@@ -258,9 +258,15 @@ def _mutuality_unit(args):
         for x in roles.trustors
     }
     preseed = {}
+    draw = rng_state.random
+    seeded_uses = range(sc.preseed_uses)
     for x in roles.trustors:
+        p = integrity[x]
         for t in candidates[x]:
-            responsive = sum(1 for _ in range(sc.preseed_uses) if rng_state.random() < integrity[x])
+            responsive = 0
+            for _ in seeded_uses:
+                if draw() < p:
+                    responsive += 1
             preseed[(t, x)] = responsive
 
     profiles = {}

@@ -71,6 +71,16 @@ class TestUsageErrors:
         assert code == 0
         assert "siotrust" in out
 
+    @pytest.mark.parametrize("command", ["transitivity", "inference", "profit", "environment"])
+    def test_trace_outside_mutuality_exits_2(self, capsys, tmp_path, command):
+        # only the mutuality experiment traces, so the flag is a usage error
+        # elsewhere, refused before any output is written
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, command, "--runs", "1", "--trace", "--out", str(out))
+        assert code == 2
+        assert "--trace" in err
+        assert not out.exists()
+
     def test_bad_scenario_file(self, capsys, tmp_path):
         bad = tmp_path / "s.json"
         bad.write_text("{broken")

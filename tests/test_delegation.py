@@ -9,17 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siotrust.delegation as delegation
 import siotrust.trust_engine as eng
 from siotrust.delegation import (
+    Candidate,
     DelegationRequest,
     DelegationTrace,
     PathEvaluator,
     find_potential_trustees,
+    rank_candidates,
     run_delegation,
     sample_outcome,
 )
 from siotrust.domain import (
     KINDS,
+    METHODS,
     RECOMMENDATION,
     SERVICE,
     AgentProfile,
@@ -116,6 +120,26 @@ class TestDiscovery:
         disc = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks), request_for(task))
         assert {c.node for c in disc.candidates} <= set(disc.interrogated)
 
+    def test_candidates_in_node_order_on_random_worlds(self):
+        # rank_candidates relies on this order to break trust ties
+        multi = 0
+        for seed in range(40):
+            graph, store, profiles, trustor, task, params, tasks = random_instance(seed)
+            ev = PathEvaluator(graph, profiles, store, tasks)
+            for method in METHODS:
+                for hops in (1, 2, 3):
+                    for omega1, omega2 in ((0.0, 0.0), (params.omega1, params.omega2)):
+                        probe = eng.TransitivityParams(omega1, omega2, hops, method)
+                        disc = find_potential_trustees(
+                            ev, DelegationRequest(trustor=trustor, task=task, transitivity=probe))
+                        nodes = [c.node for c in disc.candidates]
+                        assert nodes == sorted(set(nodes)), (seed, method, hops)
+                        assert all(type(c) is Candidate for c in disc.candidates)
+                        assert all((c.char_paths is None) == (method != eng.AGGRESSIVE)
+                                   for c in disc.candidates)
+                        multi += len(nodes) > 1
+        assert multi
+
     def test_evaluator_freed_without_cycle_collection(self):
         # a cycle left by discovery would keep a finished unit's evaluator,
         # and through it the unit's whole store, alive until a gen-2 collection
@@ -129,6 +153,17 @@ class TestDiscovery:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestRanking:
+    # node-ordered candidates, as discovery returns them, with trusts from a
+    # small set so that ties are common
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.integers(0, 40), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                           max_size=12))
+    def test_rank_is_the_trust_then_node_sort(self, trust_by_node):
+        candidates = [Candidate(n, t, (0, n)) for n, t in sorted(trust_by_node.items())]
+        assert rank_candidates(candidates) == sorted(candidates, key=lambda c: (-c.trust, c.node))
 
 
 class TestSampleOutcome:
@@ -514,6 +549,26 @@ class TestTraceEncoder:
         line = trace.to_line()
         assert line == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
         assert json.loads(line) == trace.to_dict()
+
+    def test_lines_stay_canonical_across_text_memo_clears(self):
+        # 9,000 distinct values fill the text memo past its 4,096 entries, so
+        # it clears, then the same traces are encoded again from a partly
+        # refilled memo; values a few ulps apart share their rounded text
+        rng = random.Random(5)
+        traces = []
+        for i in range(1000):
+            ranked = [(n, rng.random()) for n in range(6)]
+            ranked[0] = (0, ranked[1][1] + 1e-12)
+            traces.append(DelegationTrace(i, 0, ranked, [(n, rng.random()) for n in range(3)],
+                                          None, None, 9))
+        sizes = []
+        for _ in range(2):
+            for trace in traces:
+                assert trace.to_line() == json.dumps(trace.to_dict(), sort_keys=True,
+                                                     separators=(",", ":"))
+                sizes.append(len(delegation._TEXT))
+        assert max(sizes) <= 4096 + 9
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
 class TestOracleInstances:
