@@ -23,10 +23,10 @@ from .experiments import (
     SELECTION,
     VARIANT_ATTACK,
     VARIANT_RANDOM,
-    ExperimentSpec,
     MetricsRow,
     char_grid,
     label,
+    resolve_runs,
     run_experiment_rows,
     series_metric,
 )
@@ -208,21 +208,25 @@ def _headline(which: str, agg: dict, scenario: Scenario) -> str:
 def _run_experiments(names, args) -> int:
     if args.jobs < 1:
         raise ScenarioError("--jobs must be >= 1")
+    if args.runs is not None and args.runs < 1:
+        raise ScenarioError("--runs must be >= 1")
     graph = _load_graph(args.graph, args.features)
     scenario = _scenario_from_args(args)
+    seed = args.seed if args.seed is not None else scenario.master_seed
     out_dir = Path(args.out)
     summary = {
         "graph": args.graph,
-        "seed": args.seed if args.seed is not None else scenario.master_seed,
+        "seed": seed,
         "scenario": scenario.to_dict(),
         "experiments": {},
     }
     for which in names:
-        spec = ExperimentSpec(which=which, scenario=scenario, runs=args.runs, master_seed=args.seed)
+        runs = resolve_runs(which, scenario, args.runs)
         # only the mutuality and all subcommands have --trace
         trace_sink = [] if (which == "mutuality" and args.trace) else None
         started = time.perf_counter()
-        rows = run_experiment_rows(spec, graph, jobs=args.jobs, trace_sink=trace_sink)
+        rows = run_experiment_rows(which, graph, scenario, runs, seed, jobs=args.jobs,
+                                   trace_sink=trace_sink)
         elapsed = time.perf_counter() - started
 
         agg = _aggregates(rows)
@@ -236,13 +240,13 @@ def _run_experiments(names, args) -> int:
         if trace_sink is not None:
             write_trace_log(trace_sink, out_dir / f"trace_{which}.ndjson")
         summary["experiments"][which] = {
-            "runs": spec.effective_runs,
+            "runs": runs,
             "metrics": metrics_path.name,
             "plots": plot_files,
             "aggregates": agg,
         }
         line = _headline(which, agg, scenario)
-        print(f"{which}: runs={spec.effective_runs} {line} -> {metrics_path} ({elapsed:.1f}s)")
+        print(f"{which}: runs={runs} {line} -> {metrics_path} ({elapsed:.1f}s)")
     write_summary(summary, out_dir / "summary.json")
     return 0
 

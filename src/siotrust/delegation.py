@@ -388,11 +388,20 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
     aggressive method, per trustee and carried characteristic. `_prefer`
     is a total order over distinct paths, so the visiting order does not
     change the result. The rows are `_interrogate`'s.
+
+    Two invariants let the walk read them without a fallback. It pops
+    only nodes that `_interrogate` reached at a BFS depth no greater than
+    the node's depth here, since every gated walk edge is an evidenced
+    sweep edge: so each popped node has its service row, and each node it
+    relays from, at most `max_hops - 2` deep, its recommendation row. And
+    a row holds only neighbours whose hop has an exact record or covers
+    some of the task's characteristics; as `make_task` keeps every weight
+    positive, each such hop has a float trust.
     """
     method, omega1, omega2 = params.method, params.omega1, params.omega2
     relay_len = params.max_hops - 1
     task_id = task.id
-    build_row, hop_row, new_hop = evaluator.evidence_row, evaluator.hop_row, evaluator._new_hop
+    hop_row, new_hop = evaluator.hop_row, evaluator._new_hop
     transit = eng.transit_pair
     # traditional chains multiply; the other methods fold through transit_pair
     multiply = method == eng.TRADITIONAL
@@ -403,9 +412,7 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
     while stack:
         path, prefix, carried = stack.pop()
         o = path[-1]
-        svc = svc_rows.get(o)
-        if svc is None:
-            svc = build_row(method, task, SERVICE, o)
+        svc = svc_rows[o]
         if svc:
             hops = hop_row(o, SERVICE, task_id)
             for t in svc:
@@ -413,7 +420,7 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
                     continue
                 hit = hops.get(t)
                 covered, tw = hit if hit is not None else new_hop(hops, o, t, SERVICE, task)
-                if tw is None or tw < omega2:
+                if tw < omega2:
                     continue
                 final_carried = carried & covered
                 if not final_carried:
@@ -436,9 +443,7 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
                         best[t] = entry
         if len(path) > relay_len:
             continue
-        rec = rec_rows.get(o)
-        if rec is None:
-            rec = build_row(method, task, RECOMMENDATION, o)
+        rec = rec_rows[o]
         if not rec:
             continue
         hops = hop_row(o, RECOMMENDATION, task_id)
@@ -447,7 +452,7 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
                 continue
             hit = hops.get(s)
             covered, tw = hit if hit is not None else new_hop(hops, o, s, RECOMMENDATION, task)
-            if tw is None or tw < omega1:
+            if tw < omega1:
                 continue
             next_carried = carried & covered
             if not next_carried:

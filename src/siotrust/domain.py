@@ -55,8 +55,8 @@ def make_task(task_id: int, parts: Sequence[tuple[int, float]]) -> Task:
     """Build a task from (characteristic id, weight) pairs.
 
     Weights must be positive and finite, as must their sum, and are
-    renormalized to sum to one. Rejects empty part lists and duplicate
-    characteristics.
+    renormalized to sum to one, none of them to zero. Rejects empty part
+    lists and duplicate characteristics.
     """
     if not parts:
         raise ValueError("task needs at least one characteristic")
@@ -74,6 +74,8 @@ def make_task(task_id: int, parts: Sequence[tuple[int, float]]) -> Task:
     if total == math.inf:
         raise ValueError(f"task {task_id}: the weights' sum must be finite")
     norm = tuple((int(c), w / total) for c, w in parts)
+    if any(w == 0.0 for _, w in norm):
+        raise ValueError(f"task {task_id}: a weight is too small beside the weights' sum")
     char_ids = tuple(c for c, _ in norm)
     mask = 0
     for c in char_ids:

@@ -63,49 +63,6 @@ class MetricsRow(NamedTuple):
     value: float
 
 
-class _SpecFields(NamedTuple):
-    which: str
-    scenario: Scenario = Scenario()
-    runs: Optional[int] = None
-    master_seed: Optional[int] = None
-
-
-class ExperimentSpec(_SpecFields):
-    """Which experiment to run and with what overrides.
-
-    An immutable tuple, validated in `__new__` as `domain.TrustRecord` is.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = _SpecFields.__new__(cls, *args, **kwargs)
-        if self.which not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.which!r}, expected one of {EXPERIMENTS}")
-        if self.runs is not None and self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        return self
-
-    @property
-    def effective_runs(self) -> int:
-        """Explicit runs, else the scenario's, else the default (inference: `inference_reps`)."""
-        if self.runs is not None:
-            return self.runs
-        if self.scenario.runs is not None:
-            return self.scenario.runs
-        if self.which == "inference":
-            return self.scenario.inference_reps
-        return DEFAULT_RUNS[self.which]
-
-    @property
-    def effective_seed(self) -> int:
-        return self.master_seed if self.master_seed is not None else self.scenario.master_seed
-
-
-# they build the tuple without `__new__`, so skip its checks
-del _SpecFields._make, _SpecFields._replace
-
-
 def _run_unit(worker: Callable, unit):
     """Run one unit with the cyclic collector paused, then restore its state.
 
@@ -253,21 +210,22 @@ def _mutuality_unit(args):
 
     integrity = {x: rng_state.random() for x in roles.trustors}
     competence = {t: rng_state.random() for t in roles.trustees}
-    candidates = {
-        x: tuple(n for n in graph.neighbors(x) if n in trustee_set)
-        for x in roles.trustors
-    }
-    preseed = {}
+    usage = UsageLog()
+    store = TrustStore()
+    seed_record = initial_record(sc.initial_estimates)
     draw = rng_state.random
     seeded_uses = range(sc.preseed_uses)
     for x in roles.trustors:
         p = integrity[x]
-        for t in candidates[x]:
+        for t in graph.neighbors(x):
+            if t not in trustee_set:
+                continue
             responsive = 0
             for _ in seeded_uses:
                 if draw() < p:
                     responsive += 1
-            preseed[(t, x)] = responsive
+            usage.seed(t, x, responsive, sc.preseed_uses)
+            store.put(x, t, task.id, SERVICE, seed_record)
 
     profiles = {}
     for node in graph.nodes():
@@ -278,15 +236,6 @@ def _mutuality_unit(args):
             integrity=integrity.get(node, 1.0),
             default_threshold=theta,
         )
-
-    usage = UsageLog()
-    for (t, x), responsive in preseed.items():
-        usage.seed(t, x, responsive, sc.preseed_uses)
-    store = TrustStore()
-    seed_record = initial_record(sc.initial_estimates)
-    for x in roles.trustors:
-        for t in candidates[x]:
-            store.put(x, t, task.id, SERVICE, seed_record)
 
     env = Environment()
     params = eng.TransitivityParams(omega1=0.0, omega2=0.0, max_hops=1, method=eng.TRADITIONAL)
@@ -391,24 +340,23 @@ def _inference_unit(args):
     # and store the pair only for the trustor that infers it
     store = TrustStore()
     evaluator = PathEvaluator(graph, {}, store, tasks)
-    trust_in: dict[int, Optional[float]] = {}
+    trust_in: dict[int, float] = {}
     with_honest = without_honest = participants = 0
     for x in roles.trustors:
         cands = [t for t in graph.neighbors(x) if t in trustee_set]
         if not cands:
             continue
         participants += 1
-        # the highest inferred trust, ties to the lowest node; no trust at all: cands[0]
-        best, best_tw = cands[0], None
         for t in cands:
             if t not in trust_in:
                 rec_a, rec_b = seeded[t]
                 store.put(x, t, TAINTED_TASK, SERVICE, rec_a)
                 store.put(x, t, CLEAN_TASK, SERVICE, rec_b)
+                # the two seeded tasks cover the target, so the hop infers a float
                 trust_in[t] = evaluator.hop_tw(x, t, SERVICE, target)[1]
-            tw = trust_in[t]
-            if tw is not None and (best_tw is None or tw > best_tw or (tw == best_tw and t < best)):
-                best, best_tw = t, tw
+        # the highest inferred trust; `max` keeps the first, and cands ascend,
+        # so a tie goes to the lowest node
+        best = max(cands, key=trust_in.__getitem__)
         if best not in dishonest:
             with_honest += 1
         blind = rng_pick.choice(cands)
@@ -742,9 +690,23 @@ _RUNNERS = {
 }
 
 
+def resolve_runs(which: str, scenario: Scenario, runs: Optional[int] = None) -> int:
+    """Explicit runs, else the scenario's, else the default (inference: `inference_reps`)."""
+    if runs is not None:
+        return runs
+    if scenario.runs is not None:
+        return scenario.runs
+    if which == "inference":
+        return scenario.inference_reps
+    return DEFAULT_RUNS[which]
+
+
 def run_experiment_rows(
-    spec: ExperimentSpec,
+    which: str,
     graph: Optional[SocialGraph],
+    scenario: Scenario,
+    runs: int,
+    master_seed: int,
     jobs: int = 1,
     trace_sink: Optional[list] = None,
 ) -> list[MetricsRow]:
@@ -755,22 +717,19 @@ def run_experiment_rows(
     experiments, also when the scenario's role sample would be empty or its
     disjoint roles cannot fit in the graph.
     """
-    runner = _RUNNERS[spec.which]
-    kwargs = dict(runs=spec.effective_runs, master_seed=spec.effective_seed, jobs=jobs)
-    if spec.which == "mutuality":
-        kwargs["trace_sink"] = trace_sink
-    sc = spec.scenario
-    if sc.use_features and (graph is None or graph.features is None):
+    if scenario.use_features and (graph is None or graph.features is None):
         raise ScenarioError("use_features needs a feature file (--features)")
-    if spec.which in ("mutuality", "inference", "transitivity"):
+    if which in ("mutuality", "inference", "transitivity"):
         if graph is None:
-            raise ValueError(f"experiment {spec.which!r} needs a graph")
+            raise ValueError(f"experiment {which!r} needs a graph")
         try:
-            count = role_count(graph, sc.role_fraction, sc.disjoint_roles)
+            count = role_count(graph, scenario.role_fraction, scenario.disjoint_roles)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
         if count == 0:
             raise ScenarioError(
-                f"role_fraction {sc.role_fraction:g} samples no trustors "
+                f"role_fraction {scenario.role_fraction:g} samples no trustors "
                 f"on a {graph.node_count}-node graph")
-    return runner(graph, sc, **kwargs)
+    # only the mutuality runner traces
+    extra = {"trace_sink": trace_sink} if which == "mutuality" else {}
+    return _RUNNERS[which](graph, scenario, runs, master_seed, jobs, **extra)

@@ -104,6 +104,12 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_runs_rejected_before_compute(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "profit", "--runs", "0", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "--runs must be >= 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_inference_reps_rejected(self, capsys, tmp_path):
         scenario = tmp_path / "s.json"
         scenario.write_text('{"inference_reps": 0}')
@@ -121,11 +127,13 @@ class TestUsageErrors:
         ("mutuality", {}, "0"),
         ("all", {"tasks": [[0, [[0, math.nan]]]]}, "1"),
         ("all", {"tasks": [[0, [[0, 1e308], [1, 1e308]]]]}, "1"),
+        ("transitivity", {"tasks": [[0, [[0, 5e-324], [1, 2.0]]], [1, [[0, 1.0]]]]}, "1"),
         ("all", {"use_features": True}, "1"),
         ("profit", {"use_features": True}, "1"),
         ("environment", {"use_features": True}, "1"),
     ], ids=["mutuality-no-trustors", "transitivity-no-trustors", "mutuality-zero-rounds",
             "mutuality-zero-runs", "all-nan-weight", "all-weight-sum-overflows",
+            "transitivity-weight-underflows",
             "all-use-features-without-features", "profit-use-features-without-features",
             "environment-use-features-without-features"])
     def test_empty_request_set_rejected(self, capsys, tmp_path, command, scenario, runs):

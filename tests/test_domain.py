@@ -49,6 +49,9 @@ class TestMakeTask:
         # finite weights whose sum overflows would normalize to zeros
         with pytest.raises(ValueError, match="sum must be finite"):
             make_task(0, [(0, 1e308), (1, 1e308)])
+        # a positive weight that renormalizes to zero leaves inferred trust undefined
+        with pytest.raises(ValueError, match="too small"):
+            make_task(0, [(0, 5e-324), (1, 2.0)])
 
     def test_duplicate_characteristic_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

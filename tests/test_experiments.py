@@ -24,12 +24,12 @@ from siotrust.domain import (
 )
 from siotrust.experiments import (
     AGGREGATE,
-    ExperimentSpec,
     exp_environment,
     exp_inference,
     exp_mutuality,
     exp_profit,
     exp_transitivity,
+    resolve_runs,
     run_experiment_rows,
 )
 from siotrust.graph import sample_roles
@@ -443,36 +443,25 @@ class _SerialPool:
 
 
 class TestRunner:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="unknown experiment"):
-            ExperimentSpec(which="bogus")
-        with pytest.raises(ValueError, match="runs"):
-            ExperimentSpec(which="profit", runs=0)
-
     def test_graph_required_for_graph_experiments(self):
-        spec = ExperimentSpec(which="mutuality", runs=1)
         with pytest.raises(ValueError, match="needs a graph"):
-            run_experiment_rows(spec, None)
+            run_experiment_rows("mutuality", None, Scenario(), 1, 1)
 
     def test_default_runs_resolution(self):
-        spec = ExperimentSpec(which="environment")
-        assert spec.effective_runs == 100
-        spec = ExperimentSpec(which="environment", scenario=Scenario(runs=7))
-        assert spec.effective_runs == 7
-        spec = ExperimentSpec(which="environment", scenario=Scenario(runs=7), runs=3)
-        assert spec.effective_runs == 3
+        assert resolve_runs("environment", Scenario()) == 100
+        assert resolve_runs("environment", Scenario(runs=7)) == 7
+        assert resolve_runs("environment", Scenario(runs=7), 3) == 3
+        assert resolve_runs("inference", Scenario(inference_reps=9)) == 9
 
     def test_parallel_jobs_bit_identical(self):
         sc = Scenario(env_epoch_length=20)
-        spec = ExperimentSpec(which="environment", scenario=sc, runs=4)
-        serial = run_experiment_rows(spec, None, jobs=1)
-        parallel = run_experiment_rows(spec, None, jobs=2)
+        serial = run_experiment_rows("environment", None, sc, 4, 1, jobs=1)
+        parallel = run_experiment_rows("environment", None, sc, 4, 1, jobs=2)
         assert serial == parallel
 
     def test_parallel_jobs_graph_experiment(self, syn50_graph):
-        spec = ExperimentSpec(which="mutuality", scenario=SMALL, runs=2)
-        serial = run_experiment_rows(spec, syn50_graph, jobs=1)
-        parallel = run_experiment_rows(spec, syn50_graph, jobs=2)
+        serial = run_experiment_rows("mutuality", syn50_graph, SMALL, 2, 1, jobs=1)
+        parallel = run_experiment_rows("mutuality", syn50_graph, SMALL, 2, 1, jobs=2)
         assert serial == parallel
 
     @pytest.mark.parametrize("which", ["mutuality", "inference", "transitivity"])
@@ -483,9 +472,8 @@ class TestRunner:
         def no_compute(*args):
             raise AssertionError("units ran")
         monkeypatch.setattr(experiments, "_map_units", no_compute)
-        spec = ExperimentSpec(which=which, scenario=Scenario(**overrides), runs=1)
         with pytest.raises(ScenarioError, match="role|trustor"):
-            run_experiment_rows(spec, syn50_graph)
+            run_experiment_rows(which, syn50_graph, Scenario(**overrides), 1, 1)
 
     def test_jobs_capped_at_unit_count(self, monkeypatch):
         workers = []
@@ -495,10 +483,10 @@ class TestRunner:
                 workers.append(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        spec = ExperimentSpec(which="environment", scenario=Scenario(env_epoch_length=5), runs=4)
-        rows = run_experiment_rows(spec, None, jobs=64)
+        sc = Scenario(env_epoch_length=5)
+        rows = run_experiment_rows("environment", None, sc, 4, 1, jobs=64)
         assert workers == [4]
-        assert rows == run_experiment_rows(spec, None, jobs=1)
+        assert rows == run_experiment_rows("environment", None, sc, 4, 1, jobs=1)
 
 
 # one unit of each experiment on synthetic-50, the mutuality one with traces on
