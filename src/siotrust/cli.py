@@ -14,11 +14,11 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from .domain import METHODS, Scenario, ScenarioError, load_scenario
 from .experiments import (
     AGGREGATE,
-    EXPERIMENTS,
     REGIMES,
     SELECTION,
     VARIANT_ATTACK,
@@ -26,7 +26,6 @@ from .experiments import (
     MetricsRow,
     char_grid,
     label,
-    resolve_runs,
     run_experiment_rows,
     series_metric,
 )
@@ -34,54 +33,43 @@ from .graph import GraphFormatError, compute_stats, load_edge_list, load_feature
 from .report import Series, write_metrics, write_plot, write_summary, write_trace_log
 from .trust_engine import STRATEGIES
 
-BUILTIN_GRAPHS = {
-    "synthetic-50": "synthetic_50.edges",
-    "facebook-like": "facebook_like.edges",
-}
-BUILTIN_FEATURES = {
-    "synthetic-50": "synthetic_50.feat",
-    "facebook-like": "facebook_like.feat",
+# builtin name -> stem of its `.edges` and `.feat` files in `siotrust.data`
+BUILTINS = {
+    "synthetic-50": "synthetic_50",
+    "facebook-like": "facebook_like",
 }
 DEFAULT_GRAPH = "synthetic-50"
 
 
-def _read_data(filename: str) -> str:
-    return resources.files("siotrust.data").joinpath(filename).read_text(encoding="utf-8")
+def _read_input(arg: str, suffix: str) -> str:
+    """The text of the builtin `arg`'s data file with this suffix, else of the file at `arg`."""
+    if arg in BUILTINS:
+        data = resources.files("siotrust.data").joinpath(BUILTINS[arg] + suffix)
+        return data.read_text(encoding="utf-8")
+    return Path(arg).read_text(encoding="utf-8")
 
 
 def _load_graph(graph_arg: str, features_arg):
-    if graph_arg in BUILTIN_GRAPHS:
-        graph = load_edge_list(_read_data(BUILTIN_GRAPHS[graph_arg]))
-    else:
-        graph = load_edge_list(Path(graph_arg).read_text(encoding="utf-8"))
+    graph = load_edge_list(_read_input(graph_arg, ".edges"))
     if features_arg:
-        if features_arg in BUILTIN_FEATURES:
-            text = _read_data(BUILTIN_FEATURES[features_arg])
-        else:
-            text = Path(features_arg).read_text(encoding="utf-8")
-        graph = load_features(text, graph)
+        graph = load_features(_read_input(features_arg, ".feat"), graph)
     return graph
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
+def _csv(text: str, kind: type) -> tuple:
+    """A comma list of `kind` (float or int) values."""
     try:
-        return tuple(float(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError:
-        raise ScenarioError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ScenarioError(f"expected comma-separated integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ScenarioError(f"expected comma-separated {noun}, got {text!r}") from None
 
 
 def _scenario_from_args(args) -> Scenario:
     scenario = load_scenario(args.scenario) if args.scenario else Scenario()
     overrides = {}
     if args.theta is not None:
-        overrides["theta_grid"] = _csv_floats(args.theta)
+        overrides["theta_grid"] = _csv(args.theta, float)
     if args.beta is not None:
         overrides["beta"] = args.beta
     if args.omega1 is not None:
@@ -91,7 +79,7 @@ def _scenario_from_args(args) -> Scenario:
     if args.method is not None:
         overrides["methods"] = (args.method,)
     if args.characteristics is not None:
-        overrides["char_counts"] = _csv_ints(args.characteristics)
+        overrides["char_counts"] = _csv(args.characteristics, int)
     if args.iterations is not None:
         n = args.iterations
         if n < 1:
@@ -123,86 +111,107 @@ def _series(agg: dict, param: str, name: str, length: int, legend: str) -> Serie
                   tuple(agg[param][series_metric(name, i)] for i in range(length)))
 
 
-def _plots_for(which: str, rows: list[MetricsRow], agg: dict, scenario: Scenario) -> list[tuple]:
-    """(filename stem, title, x label, y label, series list) per plot."""
-    if which == "mutuality":
-        thetas = scenario.theta_grid
+# Each report returns (plots, headline): a plot is (filename stem, title,
+# x label, y label, series list), the headline the experiment's stdout line.
+
+def _mutuality_report(rows: list[MetricsRow], agg: dict, scenario: Scenario):
+    thetas = scenario.theta_grid
+    series = [
+        Series(metric, tuple(float(t) for t in thetas),
+               tuple(agg[label(theta=t)][metric] for t in thetas))
+        for metric in ("success_rate", "unavailable_rate", "abuse_rate")
+    ]
+    plot = ("mutuality", "Delegation rates vs reverse threshold", "theta", "rate", series)
+    return [plot], " ".join(f"abuse[{t:g}]={a:.3f}" for t, a in zip(thetas, series[-1].ys))
+
+
+def _inference_report(rows: list[MetricsRow], agg: dict, scenario: Scenario):
+    reps = sorted({row.run for row in rows if row.run != AGGREGATE})
+    series = []
+    for metric, name in (("with_inference", "with inference"),
+                         ("without_inference", "without inference")):
+        values = {row.run: row.value for row in rows
+                  if row.run != AGGREGATE and row.metric == metric}
+        series.append(Series(name, tuple(float(r) for r in reps),
+                             tuple(values[r] for r in reps)))
+    m = agg[SELECTION]
+    headline = f"wins={m['wins']:.0f}/{m['reps']:.0f} improvement={m['improvement_pp']:.1f}pp"
+    return [("inference", "Honest-trustee selection per repetition", "repetition",
+             "honest fraction", series)], headline
+
+
+def _transitivity_report(rows: list[MetricsRow], agg: dict, scenario: Scenario):
+    counts = sorted(char_grid(scenario))
+    plots = []
+    for metric, ylabel, suffix in (
+        ("success_rate", "success rate", ""),
+        ("unavailable_rate", "unavailable rate", "_unavailable"),
+        ("mean_interrogated", "interrogated nodes", "_overhead"),
+    ):
         series = [
-            Series(metric, tuple(float(t) for t in thetas),
-                   tuple(agg[label(theta=t)][metric] for t in thetas))
-            for metric in ("success_rate", "unavailable_rate", "abuse_rate")
+            Series(method, tuple(float(c) for c in counts),
+                   tuple(agg[label(chars=c, method=method)][metric] for c in counts))
+            for method in scenario.methods
         ]
-        return [("mutuality", "Delegation rates vs reverse threshold", "theta", "rate", series)]
-    if which == "inference":
-        reps = sorted({row.run for row in rows if row.run != AGGREGATE})
-        series = []
-        for metric, name in (("with_inference", "with inference"),
-                             ("without_inference", "without inference")):
-            values = {row.run: row.value for row in rows
-                      if row.run != AGGREGATE and row.metric == metric}
-            series.append(Series(name, tuple(float(r) for r in reps),
-                                 tuple(values[r] for r in reps)))
-        return [("inference", "Honest-trustee selection per repetition", "repetition",
-                 "honest fraction", series)]
-    if which == "transitivity":
-        counts = sorted(char_grid(scenario))
-        plots = []
-        for metric, ylabel, suffix in (
-            ("success_rate", "success rate", ""),
-            ("unavailable_rate", "unavailable rate", "_unavailable"),
-            ("mean_interrogated", "interrogated nodes", "_overhead"),
-        ):
-            series = [
-                Series(method, tuple(float(c) for c in counts),
-                       tuple(agg[label(chars=c, method=method)][metric] for c in counts))
-                for method in scenario.methods
-            ]
-            plots.append((f"transitivity{suffix}", f"Transitivity methods: {ylabel}",
-                          "characteristic count", ylabel, series))
-        return plots
-    if which == "profit":
-        random_series = [
-            _series(agg, label(variant=VARIANT_RANDOM, strategy=s), "net_profit",
-                    scenario.profit_iterations, s)
-            for s in STRATEGIES
-        ]
-        attack_series = [
-            _series(agg, label(variant=VARIANT_ATTACK, strategy=s), "cost",
-                    scenario.attack_tasks, s)
-            for s in STRATEGIES
-        ]
-        return [("profit", "Net profit per iteration", "iteration", "net profit", random_series),
-                ("profit_attack", "Realized cost under cost inflation", "task", "cost",
-                 attack_series)]
-    if which == "environment":
-        length = len(scenario.env_values) * scenario.env_epoch_length
-        series = [_series(agg, label(regime=r), "s_hat", length, r) for r in REGIMES]
-        return [("environment", "Expected success rate through environment epochs",
-                 "iteration", "expected success rate", series)]
-    return []
+        plots.append((f"transitivity{suffix}", f"Transitivity methods: {ylabel}",
+                      "characteristic count", ylabel, series))
+    count = char_grid(scenario)[0]
+    rates = " ".join(f"{method}={agg[label(chars=count, method=method)]['success_rate']:.3f}"
+                     for method in scenario.methods)
+    return plots, f"success chars={count}: {rates}"
 
 
-def _headline(which: str, agg: dict, scenario: Scenario) -> str:
-    if which == "mutuality":
-        return " ".join(f"abuse[{t:g}]={agg[label(theta=t)]['abuse_rate']:.3f}"
-                        for t in scenario.theta_grid)
-    if which == "inference":
-        m = agg[SELECTION]
-        return f"wins={m['wins']:.0f}/{m['reps']:.0f} improvement={m['improvement_pp']:.1f}pp"
-    if which == "transitivity":
-        count = char_grid(scenario)[0]
-        rates = " ".join(f"{method}={agg[label(chars=count, method=method)]['success_rate']:.3f}"
-                         for method in scenario.methods)
-        return f"success chars={count}: {rates}"
-    if which == "profit":
-        last = series_metric("net_profit", scenario.profit_iterations - 1)
-        finals = " ".join(f"{s}={agg[label(variant=VARIANT_RANDOM, strategy=s)][last]:.3f}"
-                          for s in STRATEGIES)
-        return f"final net profit: {finals}"
-    if which == "environment":
-        last = series_metric("s_hat", len(scenario.env_values) * scenario.env_epoch_length - 1)
-        return " ".join(f"{r}={agg[label(regime=r)][last]:.3f}" for r in REGIMES)
-    return ""
+def _profit_report(rows: list[MetricsRow], agg: dict, scenario: Scenario):
+    random_series = [
+        _series(agg, label(variant=VARIANT_RANDOM, strategy=s), "net_profit",
+                scenario.profit_iterations, s)
+        for s in STRATEGIES
+    ]
+    attack_series = [
+        _series(agg, label(variant=VARIANT_ATTACK, strategy=s), "cost",
+                scenario.attack_tasks, s)
+        for s in STRATEGIES
+    ]
+    finals = " ".join(f"{s.name}={s.ys[-1]:.3f}" for s in random_series)
+    return [("profit", "Net profit per iteration", "iteration", "net profit", random_series),
+            ("profit_attack", "Realized cost under cost inflation", "task", "cost",
+             attack_series)], f"final net profit: {finals}"
+
+
+def _environment_report(rows: list[MetricsRow], agg: dict, scenario: Scenario):
+    length = len(scenario.env_values) * scenario.env_epoch_length
+    series = [_series(agg, label(regime=r), "s_hat", length, r) for r in REGIMES]
+    headline = " ".join(f"{s.name}={s.ys[-1]:.3f}" for s in series)
+    return [("environment", "Expected success rate through environment epochs",
+             "iteration", "expected success rate", series)], headline
+
+
+class Experiment(NamedTuple):
+    """One experiment's row in `EXPERIMENTS`."""
+
+    default_runs: Optional[int]  # None: the scenario's `inference_reps`
+    traces: bool  # writes a delegation trace log under --trace
+    report: Callable  # (rows, aggregates, scenario) -> (plots, headline)
+
+
+# every experiment, in the order that `all` runs them
+EXPERIMENTS = {
+    "mutuality": Experiment(100, True, _mutuality_report),
+    "inference": Experiment(None, False, _inference_report),
+    "transitivity": Experiment(20, False, _transitivity_report),
+    "profit": Experiment(100, False, _profit_report),
+    "environment": Experiment(100, False, _environment_report),
+}
+
+
+def resolve_runs(name: str, scenario: Scenario, runs: Optional[int] = None) -> int:
+    """Explicit runs, else the scenario's, else the row's (`None`: `inference_reps`)."""
+    if runs is not None:
+        return runs
+    if scenario.runs is not None:
+        return scenario.runs
+    default = EXPERIMENTS[name].default_runs
+    return scenario.inference_reps if default is None else default
 
 
 def _run_experiments(names, args) -> int:
@@ -220,33 +229,34 @@ def _run_experiments(names, args) -> int:
         "scenario": scenario.to_dict(),
         "experiments": {},
     }
-    for which in names:
-        runs = resolve_runs(which, scenario, args.runs)
-        # only the mutuality and all subcommands have --trace
-        trace_sink = [] if (which == "mutuality" and args.trace) else None
+    for name in names:
+        experiment = EXPERIMENTS[name]
+        runs = resolve_runs(name, scenario, args.runs)
+        # args.trace exists only where the row traces, and for `all`
+        trace_sink = [] if (experiment.traces and args.trace) else None
         started = time.perf_counter()
-        rows = run_experiment_rows(which, graph, scenario, runs, seed, jobs=args.jobs,
+        rows = run_experiment_rows(name, graph, scenario, runs, seed, jobs=args.jobs,
                                    trace_sink=trace_sink)
         elapsed = time.perf_counter() - started
 
         agg = _aggregates(rows)
-        metrics_path = out_dir / f"metrics_{which}.csv"
+        metrics_path = out_dir / f"metrics_{name}.csv"
         write_metrics(rows, metrics_path)
+        plots, headline = experiment.report(rows, agg, scenario)
         plot_files = []
-        for stem, title, xlabel, ylabel, series in _plots_for(which, rows, agg, scenario):
+        for stem, title, xlabel, ylabel, series in plots:
             plot_path = out_dir / f"plot_{stem}.svg"
             write_plot(series, plot_path, title=title, x_label=xlabel, y_label=ylabel)
             plot_files.append(plot_path.name)
         if trace_sink is not None:
-            write_trace_log(trace_sink, out_dir / f"trace_{which}.ndjson")
-        summary["experiments"][which] = {
+            write_trace_log(trace_sink, out_dir / f"trace_{name}.ndjson")
+        summary["experiments"][name] = {
             "runs": runs,
             "metrics": metrics_path.name,
             "plots": plot_files,
             "aggregates": agg,
         }
-        line = _headline(which, agg, scenario)
-        print(f"{which}: runs={runs} {line} -> {metrics_path} ({elapsed:.1f}s)")
+        print(f"{name}: runs={runs} {headline} -> {metrics_path} ({elapsed:.1f}s)")
     write_summary(summary, out_dir / "summary.json")
     return 0
 
@@ -284,15 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p = sub.add_parser("stats", help="print connectivity statistics for a graph")
     add_common(stats_p, with_experiment_flags=False)
 
-    runners = {which: sub.add_parser(which, help=f"run the {which} experiment")
-               for which in EXPERIMENTS}
+    runners = {name: sub.add_parser(name, help=f"run the {name} experiment")
+               for name in EXPERIMENTS}
     runners["all"] = sub.add_parser("all", help="run all five experiments")
     for p in runners.values():
         add_common(p)
-    # argparse refuses --trace elsewhere, since no other experiment traces
-    for which in ("mutuality", "all"):
-        runners[which].add_argument("--trace", action="store_true",
-                                    help="write the mutuality experiment's delegation trace log")
+    # argparse refuses --trace on each experiment whose row does not trace
+    tracing = [name for name, row in EXPERIMENTS.items() if row.traces]
+    for name in (*tracing, "all"):
+        runners[name].add_argument(
+            "--trace", action="store_true",
+            help=f"write the {' and '.join(tracing)} experiment's delegation trace log")
     return parser
 
 

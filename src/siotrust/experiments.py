@@ -43,15 +43,6 @@ from .domain import (
 from .graph import SocialGraph, role_count, sample_roles
 from .seeds import derive_seed
 
-EXPERIMENTS = ("mutuality", "inference", "transitivity", "profit", "environment")
-
-DEFAULT_RUNS = {
-    "mutuality": 100,
-    "transitivity": 20,
-    "profit": 100,
-    "environment": 100,
-}
-
 AGGREGATE = "aggregate"
 
 
@@ -195,6 +186,21 @@ def _drive(
     return rows
 
 
+def _check_roles(graph: SocialGraph, scenario: Scenario) -> None:
+    """Raise ScenarioError when the scenario's role sample would be empty or
+    its disjoint roles cannot fit in the graph. The graph experiments call it
+    before they build their units, so such a sample is refused before compute.
+    """
+    try:
+        count = role_count(graph, scenario.role_fraction, scenario.disjoint_roles)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    if count == 0:
+        raise ScenarioError(
+            f"role_fraction {scenario.role_fraction:g} samples no trustors "
+            f"on a {graph.node_count}-node graph")
+
+
 # ---------------------------------------------------------------------------
 # Mutual evaluation: success / unavailable / abuse rates across theta
 # ---------------------------------------------------------------------------
@@ -290,6 +296,7 @@ def exp_mutuality(
     trustees gate requests on the smoothed responsive-use history at each
     theta in the grid. World state is shared across theta points per run.
     """
+    _check_roles(graph, scenario)
     units = [
         (graph, scenario, theta, run, master_seed, trace_sink is not None)
         for theta in scenario.theta_grid
@@ -382,6 +389,7 @@ def exp_inference(
     characteristic with the requested one; inference propagates the taint,
     the no-inference baseline picks blindly among candidates.
     """
+    _check_roles(graph, scenario)
     units = [(graph, scenario, rep, master_seed) for rep in range(runs)]
     rows = _drive("inference", _inference_unit, units, jobs)
     per_rep: dict[int, dict[str, float]] = {}
@@ -522,6 +530,7 @@ def exp_transitivity(
     then requests one random task per run. The three methods evaluate the
     identical world, including a common success draw per request.
     """
+    _check_roles(graph, scenario)
     units = [
         (graph, scenario, char_count, run, master_seed)
         for char_count in char_grid(scenario)
@@ -690,17 +699,6 @@ _RUNNERS = {
 }
 
 
-def resolve_runs(which: str, scenario: Scenario, runs: Optional[int] = None) -> int:
-    """Explicit runs, else the scenario's, else the default (inference: `inference_reps`)."""
-    if runs is not None:
-        return runs
-    if scenario.runs is not None:
-        return scenario.runs
-    if which == "inference":
-        return scenario.inference_reps
-    return DEFAULT_RUNS[which]
-
-
 def run_experiment_rows(
     which: str,
     graph: Optional[SocialGraph],
@@ -715,21 +713,10 @@ def run_experiment_rows(
     Raises ScenarioError before any compute when the scenario sets
     `use_features` without a graph with features; for the graph
     experiments, also when the scenario's role sample would be empty or its
-    disjoint roles cannot fit in the graph.
+    disjoint roles cannot fit in the graph (`_check_roles`). Only a runner
+    that traces is given a `trace_sink`.
     """
     if scenario.use_features and (graph is None or graph.features is None):
         raise ScenarioError("use_features needs a feature file (--features)")
-    if which in ("mutuality", "inference", "transitivity"):
-        if graph is None:
-            raise ValueError(f"experiment {which!r} needs a graph")
-        try:
-            count = role_count(graph, scenario.role_fraction, scenario.disjoint_roles)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-        if count == 0:
-            raise ScenarioError(
-                f"role_fraction {scenario.role_fraction:g} samples no trustors "
-                f"on a {graph.node_count}-node graph")
-    # only the mutuality runner traces
-    extra = {"trace_sink": trace_sink} if which == "mutuality" else {}
+    extra = {} if trace_sink is None else {"trace_sink": trace_sink}
     return _RUNNERS[which](graph, scenario, runs, master_seed, jobs, **extra)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siotrust import experiments
+from siotrust import cli, experiments
 from siotrust.cli import main
 from siotrust.domain import METHODS, Scenario
 
@@ -391,7 +391,7 @@ class TestScenarioFuzz:
     """A validated scenario runs to in-range metrics; any other is refused before compute."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(which=st.sampled_from(experiments.EXPERIMENTS), edges=_graph, mutation=_mutation)
+    @given(which=st.sampled_from(tuple(cli.EXPERIMENTS)), edges=_graph, mutation=_mutation)
     def test_accepted_runs_in_range_rejected_before_compute(self, which, edges, mutation):
         calls = []
         real_map_units = experiments._map_units
@@ -461,9 +461,25 @@ class TestStartup:
         assert (tmp_path / "jobs1" / csv).read_bytes() == (tmp_path / "jobs2" / csv).read_bytes()
 
 
+class TestExperimentTable:
+    """`cli.EXPERIMENTS` holds one row per runner, in the order `all` runs them."""
+
+    def test_rows_match_runners(self):
+        assert list(cli.EXPERIMENTS) == list(experiments._RUNNERS)
+
+    def test_default_runs_resolution(self):
+        defaults = {name: cli.resolve_runs(name, Scenario()) for name in cli.EXPERIMENTS}
+        assert defaults == {"mutuality": 100, "inference": Scenario().inference_reps,
+                            "transitivity": 20, "profit": 100, "environment": 100}
+        assert cli.resolve_runs("inference", Scenario(inference_reps=9)) == 9
+        for name in cli.EXPERIMENTS:
+            assert cli.resolve_runs(name, Scenario(runs=7)) == 7
+            assert cli.resolve_runs(name, Scenario(runs=7), 3) == 3
+
+
 class TestPlots:
     def test_series_read_by_index_from_aggregates(self):
-        from siotrust.cli import _aggregates, _plots_for
+        from siotrust.cli import _aggregates
         from siotrust.domain import Scenario
         from siotrust.experiments import AGGREGATE, MetricsRow
         rows = []
@@ -477,11 +493,13 @@ class TestPlots:
             ]
         rows.append(MetricsRow("environment", "regime=corrected", 0, "s_hat[000]", 0.5))
         scenario = Scenario(env_values=(1.0,), env_epoch_length=2)
-        [(stem, _, _, _, series)] = _plots_for("environment", rows, _aggregates(rows), scenario)
+        report = cli.EXPERIMENTS["environment"].report
+        [(stem, _, _, _, series)], headline = report(rows, _aggregates(rows), scenario)
         assert stem == "environment"
         assert [s.name for s in series] == ["baseline", "uncorrected", "corrected"]
         assert series[2].xs == (0.0, 1.0)
         assert series[2].ys == (1.0, 0.9)
+        assert headline == "baseline=0.900 uncorrected=0.900 corrected=0.900"
 
 
 class TestBytePins:

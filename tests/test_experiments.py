@@ -29,7 +29,6 @@ from siotrust.experiments import (
     exp_mutuality,
     exp_profit,
     exp_transitivity,
-    resolve_runs,
     run_experiment_rows,
 )
 from siotrust.graph import sample_roles
@@ -443,16 +442,6 @@ class _SerialPool:
 
 
 class TestRunner:
-    def test_graph_required_for_graph_experiments(self):
-        with pytest.raises(ValueError, match="needs a graph"):
-            run_experiment_rows("mutuality", None, Scenario(), 1, 1)
-
-    def test_default_runs_resolution(self):
-        assert resolve_runs("environment", Scenario()) == 100
-        assert resolve_runs("environment", Scenario(runs=7)) == 7
-        assert resolve_runs("environment", Scenario(runs=7), 3) == 3
-        assert resolve_runs("inference", Scenario(inference_reps=9)) == 9
-
     def test_parallel_jobs_bit_identical(self):
         sc = Scenario(env_epoch_length=20)
         serial = run_experiment_rows("environment", None, sc, 4, 1, jobs=1)
