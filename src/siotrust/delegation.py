@@ -519,31 +519,32 @@ def sample_outcome(
 
     Success is Bernoulli in the trustee's competence scaled by the worst
     environment in the outcome's snapshot (trustor, trustee, then the
-    intermediates); `draw_outcome` makes the draws.
+    intermediates). The realization is split in two: `draw_delegation`
+    makes the draws and `make_outcome` builds the outcome they select.
     """
     snapshot = (env.at(trustor.node), env.at(trustee.node))
     if intermediates:
         snapshot += tuple(env.at(i) for i in intermediates)
-    return draw_outcome(trustee.task_competence(task) * min(snapshot), trustor.integrity,
-                        trustee, snapshot, rng)
+    success, abusive = draw_delegation(trustee.task_competence(task) * min(snapshot),
+                                       trustor.integrity, rng)
+    return make_outcome(trustee, snapshot, success, abusive)
 
 
-def draw_outcome(
-    p_success: float,
-    integrity: float,
-    trustee: AgentProfile,
-    snapshot: tuple[float, ...],
-    rng,
-) -> DelegationOutcome:
-    """The draws of one delegation, given its success probability.
+def draw_delegation(p_success: float, integrity: float, rng) -> tuple[bool, bool]:
+    """The draws of one delegation, success first: `(success, abusive)`.
 
-    `p_success` is the trustee's task competence times the worst value in
-    `snapshot`. An abusive use is Bernoulli in (1 - trustor integrity).
-    Dishonest trustees inflate the realized cost by their scripted
-    multiplier. Draw order is fixed: success first, then abuse.
+    Success is Bernoulli in `p_success`, abuse in (1 - trustor integrity).
     """
     success = rng.random() < p_success
-    abusive = rng.random() >= integrity
+    return success, rng.random() >= integrity
+
+
+def make_outcome(trustee: AgentProfile, snapshot: tuple, success: bool, abusive: bool) -> DelegationOutcome:
+    """The outcome of a delegation to `trustee` whose draws came out as given.
+
+    Success zeroes damage, failure zeroes gain. Dishonest trustees inflate
+    the realized cost by their scripted multiplier.
+    """
     cost = trustee.cost if trustee.honest else min(1.0, trustee.cost * trustee.cost_multiplier)
     if success:
         return DelegationOutcome(True, trustee.gain, 0.0, cost, abusive, snapshot)

@@ -189,6 +189,8 @@ class AgentProfile(_ProfileFields):
         _check_unit("gain", self.gain)
         _check_unit("damage", self.damage)
         _check_unit("cost", self.cost)
+        if not 0.0 <= self.cost_multiplier < math.inf:
+            raise ValueError(f"cost_multiplier must be finite and >= 0, got {self.cost_multiplier}")
         return self
 
     def task_competence(self, task: Task) -> float:

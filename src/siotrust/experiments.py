@@ -14,6 +14,7 @@ import gc
 import math
 import random
 from functools import partial
+from itertools import repeat
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -21,8 +22,9 @@ from . import trust_engine as eng
 from .delegation import (
     DelegationRequest,
     PathEvaluator,
-    draw_outcome,
+    draw_delegation,
     find_potential_trustees,
+    make_outcome,
     rank_candidates,
     run_delegation,
 )
@@ -88,10 +90,6 @@ def _mean(values) -> float:
     return math.fsum(values) / len(values)
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def label(**parts) -> str:
     """A row's param label, such as `chars=4,method=aggressive`; floats print as `:g`."""
     return ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
@@ -133,17 +131,24 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
 def _mean_std(experiment: str, param: str, metric: str, values) -> tuple[MetricsRow, MetricsRow]:
     """The mean and the exact population std (what `statistics.pstdev` returns).
 
-    Each value is n / d with d a power of two, so over the largest d the
-    values are integers N and the variance is (k·ΣN² − (ΣN)²) / (k·d)².
-    Scaling n to N is a shift by the gap between the bit lengths of d and
-    the largest d.
+    With lo the smallest nonzero magnitude and shift = 53 - frexp(lo)[1],
+    each value is an exact integer N = v·2^shift (floats from 2^52 up are
+    integers, so shift stops at 0), and the variance is (k·ΣN² − (ΣN)²) /
+    (k·2^shift)². Where `ldexp` overflows, the magnitudes lie over ~970
+    binades apart; then each ratio n / d is shifted to the largest d instead.
     """
-    ratios = list(map(float.as_integer_ratio, values))
-    den = max(d for _, d in ratios)
-    top = den.bit_length()
-    nums = [n << (top - d.bit_length()) for n, d in ratios]
+    lo = min(values)
+    if lo <= 0.0:
+        lo = min(filter(None, map(abs, values)), default=1.0)
+    shift = max(0, 53 - math.frexp(lo)[1])
+    try:
+        nums = list(map(math.trunc, map(math.ldexp, values, repeat(shift))))
+    except OverflowError:
+        ratios = list(map(float.as_integer_ratio, values))
+        shift = max(d for _, d in ratios).bit_length() - 1
+        nums = [n << (shift + 1 - d.bit_length()) for n, d in ratios]
     k, total = len(nums), sum(nums)
-    std = _sqrt_of_ratio(k * sum(map(mul, nums, nums)) - total * total, (k * den) ** 2)
+    std = _sqrt_of_ratio(k * sum(map(mul, nums, nums)) - total * total, (k << shift) ** 2)
     return (MetricsRow(experiment, param, AGGREGATE, metric, _mean(values)),
             MetricsRow(experiment, param, AGGREGATE, metric + "_std", std))
 
@@ -470,12 +475,14 @@ def _transitivity_unit(args):
     put, draw = store.put, rng.random
     service_density, rec_density = sc.service_density, sc.rec_density
     for n in graph.nodes():
+        # a service record depends only on (n, task): its neighbours share it
         competence_of = profiles[n].task_competence
-        task_objs = [tasks[tid] for tid in experienced[n]]
+        seeded = [(tid, TrustRecord(competence_of(tasks[tid]), 1.0, 1.0, 0.0, 1))
+                  for tid in experienced[n]]
         for m in graph.neighbors(n):
-            for task in task_objs:
+            for tid, record in seeded:
                 if draw() < service_density:
-                    put(m, n, task.id, SERVICE, TrustRecord(competence_of(task), 1.0, 1.0, 0.0, 1))
+                    put(m, n, tid, SERVICE, record)
     for n in graph.nodes():
         known = sorted({tid for k in graph.neighbors(n) for tid in experienced[k]})
         for m in graph.neighbors(n):
@@ -578,33 +585,37 @@ def _profit_unit(args):
         )
     trustor = AgentProfile(node=count, integrity=1.0)
     update = eng.UpdateParams.uniform(sc.beta)
-    # the environment is fixed, so each candidate's snapshot and success
-    # probability are computed once, as `sample_outcome` computes them
-    draw_args = []
+    # `sample_outcome` split in two: the environment is fixed, so each
+    # candidate's success probability and its four `make_outcome` outcomes,
+    # [success][abusive], each with its series value, are built once
+    net = variant == VARIANT_RANDOM
+    tables = []
     for i in range(count):
         snapshot = (env.at(trustor.node), env.at(i))
-        draw_args.append((profiles[i].task_competence(task) * min(snapshot), profiles[i], snapshot))
+        rows = [[make_outcome(profiles[i], snapshot, s, a) for a in (False, True)] for s in (False, True)]
+        tables.append((profiles[i].task_competence(task) * min(snapshot),
+                       [[(o, o.gain - o.damage - o.cost if net else o.cost) for o in row] for row in rows]))
     integrity = trustor.integrity
     select, update_estimates, score = eng.select_trustee, eng.update_estimates, eng.strategy_score
-    net = variant == VARIANT_RANDOM
 
     entries = []
     for strategy in eng.STRATEGIES:
         records = [initial_record(sc.initial_estimates)] * count
         scores = [score(rec, strategy) for rec in records]
         # common random numbers: both strategies face the identical draw
-        # sequence, so their curves differ only through candidate choice
+        # sequence, so their curves differ only through candidate choice;
+        # the loop only draws and indexes the candidate's outcome table
         rng_play = random.Random(derive_seed(master, "profit-play", variant, run_idx))
         values = []
         append = values.append
         for _ in range(iterations):
             node = select(scores)
-            p_success, trustee, snapshot = draw_args[node]
-            outcome = draw_outcome(p_success, integrity, trustee, snapshot, rng_play)
-            _, gain, damage, cost, _, _ = outcome
+            p_success, outcomes = tables[node]
+            success, abusive = draw_delegation(p_success, integrity, rng_play)
+            outcome, value = outcomes[success][abusive]
             records[node] = record = update_estimates(records[node], outcome, update)
             scores[node] = score(record, strategy)
-            append(gain - damage - cost if net else cost)
+            append(value)
         param = label(variant=variant, strategy=strategy)
         if variant == VARIANT_RANDOM:
             entries.append((param, run_idx, {}, {"net_profit": values}))
@@ -650,14 +661,14 @@ def _environment_unit(args):
     sc, run_idx, master = args
     rng = random.Random(derive_seed(master, "environment", run_idx))
     beta, comp, noise_level = sc.beta, sc.env_competence, sc.env_noise
-    blend, correct, uniform = eng.blend, eng.correct_realized, rng.uniform
+    blend, clamp, correct, uniform = eng.blend, eng.clamp01, eng.correct_realized, rng.uniform
     baseline = uncorrected = corrected = sc.env_initial_s
     baseline_series, uncorrected_series, corrected_series = [], [], []
     for value in sc.env_values:
         for _ in range(sc.env_epoch_length):
             noise = uniform(-noise_level, noise_level)
-            perf_env = _clamp01(comp * value + noise)
-            baseline = blend(baseline, _clamp01(comp + noise), beta)
+            perf_env = clamp(comp * value + noise)
+            baseline = blend(baseline, clamp(comp + noise), beta)
             uncorrected = blend(uncorrected, perf_env, beta)
             corrected = blend(corrected, correct(perf_env, value), beta)
             baseline_series.append(baseline)

@@ -313,6 +313,11 @@ VALIDATION_CASES = [
        f"env snapshot values must be in (0, 1], got {value}")
       for value in (0.0, -0.5, 1.5, NAN)
       for snapshot in ((value, 1.0), (1.0, value), (1.0, 0.7, value))),
+    # a NaN or infinite multiplier would otherwise realize a cost of 1.0 through
+    # `min(1.0, cost * multiplier)`, and a negative one fail inside the outcome
+    *((f"cost_multiplier={value}", lambda value=value: AgentProfile(node=0, cost_multiplier=value),
+       f"cost_multiplier must be finite and >= 0, got {value}")
+      for value in (-1.0, -1e-300, NAN, math.inf)),
 ]
 
 
@@ -328,6 +333,8 @@ class TestValidationMessages:
         TrustRecord(0.0, 1.0, 0.0, 1.0, interaction_count=0)
         DelegationOutcome(success=True, gain=1.0, damage=0.0, cost=1.0, env_snapshot=(1.0, 1e-300))
         DelegationOutcome(success=False, gain=0.0, damage=1.0, cost=0.0, env_snapshot=(1.0, 0.5, 1.0))
+        AgentProfile(node=0, cost_multiplier=0.0)
+        AgentProfile(node=0, cost_multiplier=1e300)
 
 
 class TestScenario:

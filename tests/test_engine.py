@@ -43,6 +43,13 @@ class TestNormalize:
         assert eng.normalize(lo) <= eng.normalize(hi)
 
 
+class TestClamp01:
+    @given(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 + 2 ** -52])))
+    def test_bit_identical_to_builtin_min_max(self, x):
+        # NaN and -0.0 clamp to +0.0, as the builtins' first-argument ties give
+        assert eng.clamp01(x).hex() == min(1.0, max(0.0, x)).hex()
+
+
 class TestPostEvaluate:
     def test_guaranteed_full_gain(self):
         assert eng.post_evaluate(record(1.0, 1.0, 0.7, 0.0)) == 1.0

@@ -272,22 +272,28 @@ def reference_profit_series(profiles, trustor, sc, variant, run_idx, master, str
     return {"profits": profits, "costs": costs}
 
 
+def profit_unit_and_profiles(sc, variant, run_idx, master):
+    """`_profit_unit`'s result, its candidates' profiles and its trustor's."""
+    built = []
+
+    def recording_profile(**kwargs):
+        built.append(AgentProfile(**kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "AgentProfile", recording_profile)
+        result = experiments._profit_unit((sc, variant, run_idx, master))
+    *profiles, trustor = built
+    return result, profiles, trustor
+
+
 class TestProfitOracle:
     @pytest.mark.parametrize("variant", [experiments.VARIANT_RANDOM, experiments.VARIANT_ATTACK])
-    def test_unit_matches_full_sort_reference(self, monkeypatch, variant):
+    def test_unit_matches_full_sort_reference(self, variant):
         # equal initial estimates make the first picks five-way ties
         sc = Scenario(profit_candidates=5, profit_iterations=80, attack_tasks=60)
-        built = []
-
-        def recording_profile(**kwargs):
-            built.append(AgentProfile(**kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(experiments, "AgentProfile", recording_profile)
         for run_idx in range(3):
-            built.clear()
-            entries, traces = experiments._profit_unit((sc, variant, run_idx, 7))
-            *profiles, trustor = built
+            (entries, traces), profiles, trustor = profit_unit_and_profiles(sc, variant, run_idx, 7)
             assert len(profiles) == 5
             assert traces == []
             strategies = (eng.SUCCESS_ONLY, eng.FULL_PROFIT)
@@ -305,6 +311,33 @@ class TestProfitOracle:
                         "cost_tasks_1_10": statistics.fmean(costs[0:10]),
                         "cost_tasks_40_50": statistics.fmean(costs[39:50]),
                     }
+
+
+@st.composite
+def profit_scenarios(draw):
+    return Scenario(profit_candidates=draw(st.integers(1, 12)),
+                    profit_iterations=draw(st.integers(1, 60)),
+                    attack_tasks=draw(st.integers(1, 60)),
+                    dishonest_fraction=draw(st.floats(0.0, 1.0)),
+                    cost_multiplier=draw(st.sampled_from([0.0, 1.0, 3.0, 50.0])),
+                    beta=draw(st.sampled_from([0.0, 0.1, 0.5])))
+
+
+class TestProfitOutcomeTable:
+    @settings(max_examples=60, deadline=None)
+    @given(sc=profit_scenarios(),
+           variant=st.sampled_from([experiments.VARIANT_RANDOM, experiments.VARIANT_ATTACK]),
+           run_idx=st.integers(0, 3), master=st.integers(0, 2 ** 16))
+    def test_unit_matches_a_sample_outcome_per_draw(self, sc, variant, run_idx, master):
+        # the unit indexes outcomes built once per candidate; the reference
+        # loop realizes every draw through `sample_outcome` with the same seeds
+        (entries, _), profiles, trustor = profit_unit_and_profiles(sc, variant, run_idx, master)
+        for (_, _, _, series), strategy in zip(entries, eng.STRATEGIES):
+            expected = reference_profit_series(profiles, trustor, sc, variant, run_idx, master, strategy)
+            if variant == experiments.VARIANT_RANDOM:
+                assert series == {"net_profit": expected["profits"]}
+            else:
+                assert series == {"cost": expected["costs"]}
 
 
 class TestEnvironment:
@@ -402,6 +435,13 @@ class TestStd:
     @example([-0.0, -0.0])
     @example([0.1, 0.1, -0.3, 0.1, -0.3])
     @example([1e-9, -2e-9, 3e-9])
+    # one scale would overflow `ldexp`: these take the per-ratio fallback
+    @example([5e-324, 1.0])
+    @example([1e-300, 2.0 ** 1000])
+    @example([5e-324, 1e-320, 3e-310])  # all subnormal
+    @example([1e300, 3e300, -2e300])  # 53 - frexp exponent < 0: the shift stops at 0
+    @example([0.0, -0.0, 0.0])
+    @example([0.0, 0.1])
     @given(st.lists(STD_VALUES, min_size=1, max_size=100))
     def test_matches_pstdev_bit_for_bit(self, values):
         mean, std = experiments._mean_std("demo", "x=1", "m", values)
