@@ -38,7 +38,7 @@ class DelegationRequest(NamedTuple):
     trustor: int
     task: Task
     transitivity: eng.TransitivityParams = eng.TransitivityParams()
-    update: eng.UpdateParams = eng.UpdateParams()
+    beta: float = 0.1  # the forgetting factor of the record updates
     initial_estimates: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
 
 
@@ -155,8 +155,9 @@ class PathEvaluator:
 
     Pair info: `pair_info` reads a pair's records once and keeps, per
     (observer, subject, kind), the post-evaluated trust of each exact task
-    id, the covered-characteristic mask and the (task, tw) history. Records
-    on task ids outside the task map are left out.
+    id, the covered-characteristic mask and the (task, tw) history. Every
+    record's task id is in the task map: each unit builds its store and its
+    task map together.
 
     Neighbour index: per (node, record kind), built from `pair_info` at
     most once and only when a walk first asks, the node's neighbours in
@@ -232,9 +233,7 @@ class PathEvaluator:
             mask = 0
             history = []
             for task_id, rec in self.store.task_records(observer, subject, kind):
-                task = self.tasks.get(task_id)
-                if task is None:
-                    continue
+                task = self.tasks[task_id]
                 tw = exact[task_id] = eng.post_evaluate(rec)
                 mask |= task.mask
                 history.append((task, tw))
@@ -258,8 +257,10 @@ class PathEvaluator:
         The exact-task record wins. Otherwise trust is inferred over the
         characteristics the pair's records cover: none gives (0, None), all
         of them `infer_task_tw`, some of them `infer_subset_tw` over those
-        parts. Memoized until `invalidate`. A task id outside the task map
-        raises ValueError, since `pair_info` would not see its records.
+        parts. A covered hop's trust is therefore always a float, as both
+        see every covered characteristic in the history. Memoized until
+        `invalidate`. A task id outside the task map raises ValueError,
+        since `pair_info` would not see its records.
         """
         row = self.hop_row(observer, kind, task.id)
         hit = row.get(subject)
@@ -609,7 +610,7 @@ def run_delegation(
     for observer, subject, kind in writes:
         record = store.get(observer, subject, task.id, kind)
         base = record or initial_record(request.initial_estimates)
-        store.put(observer, subject, task.id, kind, eng.update_estimates(base, outcome, request.update))
+        store.put(observer, subject, task.id, kind, eng.update_estimates(base, outcome, request.beta))
         evaluator.invalidate(observer, subject, structural=record is None)
     return DelegationTrace(trustor, task.id, ranked_pairs, rejections, chosen.node, outcome,
                            disc.nodes_interrogated)

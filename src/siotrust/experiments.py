@@ -250,14 +250,13 @@ def _mutuality_unit(args):
 
     env = Environment()
     params = eng.TransitivityParams(omega1=0.0, omega2=0.0, max_hops=1, method=eng.TRADITIONAL)
-    update = eng.UpdateParams.uniform(sc.beta)
     rng_play = random.Random(derive_seed(master, "mutuality-play", run_idx, f"{theta:.6g}"))
     evaluator = PathEvaluator(graph, profiles, store, tasks)
 
     requests = successes = unavailable = uses = abusive = 0
     traces = []
     round_requests = [
-        DelegationRequest(trustor=x, task=task, transitivity=params, update=update,
+        DelegationRequest(trustor=x, task=task, transitivity=params, beta=sc.beta,
                           initial_estimates=sc.initial_estimates)
         for x in roles.trustors
     ]
@@ -584,7 +583,7 @@ def _profit_unit(args):
             cost_multiplier=sc.cost_multiplier,
         )
     trustor = AgentProfile(node=count, integrity=1.0)
-    update = eng.UpdateParams.uniform(sc.beta)
+    beta = sc.beta
     # `sample_outcome` split in two: the environment is fixed, so each
     # candidate's success probability and its four `make_outcome` outcomes,
     # [success][abusive], each with its series value, are built once
@@ -613,7 +612,7 @@ def _profit_unit(args):
             p_success, outcomes = tables[node]
             success, abusive = draw_delegation(p_success, integrity, rng_play)
             outcome, value = outcomes[success][abusive]
-            records[node] = record = update_estimates(records[node], outcome, update)
+            records[node] = record = update_estimates(records[node], outcome, beta)
             scores[node] = score(record, strategy)
             append(value)
         param = label(variant=variant, strategy=strategy)

@@ -71,7 +71,11 @@ STATS_HEADER = "nodes,edges,avg_degree,diameter,avg_path_length,avg_clustering,c
 
 
 def build_graph(edge_pairs: Iterable[tuple[int, int]]) -> SocialGraph:
-    """Build a graph from original-id edge pairs, remapping to dense ids."""
+    """Build a graph from original-id edge pairs, remapping to dense ids.
+
+    The pairs must not be empty; `load_edge_list`, the one caller, rejects
+    an empty list first.
+    """
     edges = set()
     nodes = set()
     for u, v in edge_pairs:
@@ -80,8 +84,6 @@ def build_graph(edge_pairs: Iterable[tuple[int, int]]) -> SocialGraph:
         if u == v:
             continue
         edges.add((u, v) if u < v else (v, u))
-    if not nodes:
-        raise GraphFormatError("empty edge list")
     original = tuple(sorted(nodes))
     dense = {orig: i for i, orig in enumerate(original)}
     adj: list[list[int]] = [[] for _ in original]
@@ -188,10 +190,9 @@ def compute_stats(graph: SocialGraph) -> GraphStats:
     distance. Clustering averages over all nodes, with degree < 2 nodes
     contributing zero; the links among a node's neighbours are the popcounts
     of their masks ANDed with the node's mask, each link counted twice.
+    The graph has a node, as every graph `load_edge_list` builds does.
     """
     n = graph.node_count
-    if n == 0:
-        raise GraphFormatError("cannot compute stats of an empty graph")
     comps = connected_components(graph)
     largest = comps[0]
 

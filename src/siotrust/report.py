@@ -63,8 +63,7 @@ class Series(NamedTuple):
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """`count + 1` evenly spaced ticks from `lo` to `hi`; `write_plot` widens equal bounds first."""
     step = (hi - lo) / count
     return [lo + i * step for i in range(count + 1)]
 

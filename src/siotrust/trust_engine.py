@@ -50,22 +50,6 @@ class TransitivityParams(NamedTuple):
     method: str = AGGRESSIVE
 
 
-class UpdateParams(NamedTuple):
-    """Forgetting factors for the four estimate updates; 0 forgets everything.
-
-    Each must be in [0, 1); `Scenario` checks `beta`, the one value they come from.
-    """
-
-    beta_s: float = 0.1
-    beta_g: float = 0.1
-    beta_d: float = 0.1
-    beta_c: float = 0.1
-
-    @classmethod
-    def uniform(cls, beta: float) -> "UpdateParams":
-        return cls(beta, beta, beta, beta)
-
-
 def clamp01(x: float) -> float:
     """`x` clamped to [0, 1], NaN and -0.0 to 0.0, as `min(1.0, max(0.0, x))`
     clamps; comparisons cost a fraction of the two builtin calls."""
@@ -85,12 +69,11 @@ def net_profit(record: TrustRecord) -> float:
 
 def post_evaluate(record: TrustRecord) -> float:
     """Normalized trustworthiness of a record: its `net_profit` mapped into [0, 1]."""
-    s_hat, g_hat, d_hat, c_hat, _ = record
-    return normalize(s_hat * g_hat - (1.0 - s_hat) * d_hat - c_hat)
+    return normalize(net_profit(record))
 
 
 def blend(old: float, new: float, beta: float) -> float:
-    """Convex combination keeping `beta` of history."""
+    """Convex combination keeping `beta` of history; `beta` in [0, 1), 0 forgets everything."""
     return beta * old + (1.0 - beta) * new
 
 
@@ -100,19 +83,18 @@ def update_from_realized(
     g: float,
     d: float,
     c: float,
-    params: UpdateParams,
+    beta: float,
 ) -> TrustRecord:
-    """Blend realized quantities into the record's estimates."""
+    """Blend realized quantities into the record's estimates, all four with one `beta`."""
     s_hat, g_hat, d_hat, c_hat, count = record
-    beta_s, beta_g, beta_d, beta_c = params
-    return TrustRecord(blend(s_hat, s, beta_s), blend(g_hat, g, beta_g),
-                       blend(d_hat, d, beta_d), blend(c_hat, c, beta_c), count + 1)
+    return TrustRecord(blend(s_hat, s, beta), blend(g_hat, g, beta),
+                       blend(d_hat, d, beta), blend(c_hat, c, beta), count + 1)
 
 
-def update_estimates(record: TrustRecord, outcome: DelegationOutcome, params: UpdateParams) -> TrustRecord:
+def update_estimates(record: TrustRecord, outcome: DelegationOutcome, beta: float) -> TrustRecord:
     """Update estimates from a delegation outcome (realized S is 1 or 0)."""
     success, gain, damage, cost, _, _ = outcome
-    return update_from_realized(record, 1.0 if success else 0.0, gain, damage, cost, params)
+    return update_from_realized(record, 1.0 if success else 0.0, gain, damage, cost, beta)
 
 
 def correct_realized(realized: float, min_env: float) -> float:
@@ -126,7 +108,7 @@ def correct_realized(realized: float, min_env: float) -> float:
     return clamp01(realized / min_env)
 
 
-def update_estimates_env(record: TrustRecord, outcome: DelegationOutcome, params: UpdateParams) -> TrustRecord:
+def update_estimates_env(record: TrustRecord, outcome: DelegationOutcome, beta: float) -> TrustRecord:
     """As update_estimates, but each realized quantity is environment-corrected.
 
     The correction uses the environment snapshot carried by the outcome
@@ -142,7 +124,7 @@ def update_estimates_env(record: TrustRecord, outcome: DelegationOutcome, params
         correct_realized(outcome.gain, min_env),
         correct_realized(outcome.damage, min_env),
         correct_realized(outcome.cost, min_env),
-        params,
+        beta,
     )
 
 
@@ -186,17 +168,17 @@ def infer_task_tw(history: Sequence[tuple[Task, float]], target: Task) -> Option
 def infer_subset_tw(
     history: Sequence[tuple[Task, float]],
     parts: Sequence[tuple[int, float]],
-) -> Optional[float]:
-    """Inferred trust over a sub-bag of characteristics, weights renormalized."""
+) -> float:
+    """Inferred trust over a sub-bag of characteristics, weights renormalized.
+
+    `parts` must be non-empty with positive weights, and each of its
+    characteristics must appear in `history`: `PathEvaluator.hop_tw` passes
+    only the covered parts of a `make_task` task.
+    """
     total_w = sum(w for _, w in parts)
-    if total_w <= 0.0:
-        return None
     value = 0.0
     for char_id, weight in parts:
-        char_tw = infer_characteristic_tw(history, char_id)
-        if char_tw is None:
-            return None
-        value += (weight / total_w) * char_tw
+        value += (weight / total_w) * infer_characteristic_tw(history, char_id)
     return value
 
 
@@ -235,10 +217,8 @@ def select_trustee(scores: Sequence[float]) -> int:
 
     `scores` holds one `strategy_score` per candidate, indexed by
     candidate; the profit experiment is its only caller. An empty sequence
-    raises ValueError.
+    raises ValueError, from `max`.
     """
-    if not scores:
-        raise ValueError("select_trustee needs at least one score")
     # index finds the first maximum, so the lower index wins ties
     return scores.index(max(scores))
 

@@ -219,10 +219,9 @@ class TestCriterion7Properties:
             c = rng.random()
             s0 = rng.random()
             n = rng.randint(1, 60)
-            params = eng.UpdateParams.uniform(beta)
             rec = TrustRecord(s0, 0.5, 0.5, 0.5)
             for _ in range(n):
-                rec = eng.update_from_realized(rec, c, c, c, c, params)
+                rec = eng.update_from_realized(rec, c, c, c, c, beta)
             assert abs(abs(rec.s_hat - c) - beta ** n * abs(s0 - c)) < 1e-12
         report("PASS criterion 7a: geometric convergence |S_n - c| = beta^n |S_0 - c| to 1e-12")
 
@@ -270,7 +269,7 @@ class TestCriterion7Properties:
 
     def test_env_update_reduction_bit_for_bit(self):
         rng = random.Random(23)
-        params = eng.UpdateParams.uniform(0.1)
+        beta = 0.1
         for _ in range(2000):
             success = rng.random() < 0.5
             outcome = DelegationOutcome(
@@ -281,8 +280,8 @@ class TestCriterion7Properties:
                 env_snapshot=(1.0, 1.0, 1.0, 1.0),
             )
             rec = TrustRecord(rng.random(), rng.random(), rng.random(), rng.random())
-            assert eng.update_estimates_env(rec, outcome, params) == \
-                eng.update_estimates(rec, outcome, params)
+            assert eng.update_estimates_env(rec, outcome, beta) == \
+                eng.update_estimates(rec, outcome, beta)
         report("PASS criterion 7f: environment-corrected update reduces to the "
                "plain update bit-for-bit under E = 1")
 

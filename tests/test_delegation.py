@@ -298,7 +298,7 @@ class TestRunDelegation:
         graph, store, profiles, task, tasks = star_world(trustee_count=1)
         env = Environment(default=0.25)
         # competence is 1.0, so the environment alone sets the success probability
-        req = request_for(task, update=eng.UpdateParams.uniform(0.0))
+        req = request_for(task, beta=0.0)
         hits = 0
         rng = random.Random(11)
         for _ in range(400):

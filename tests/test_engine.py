@@ -87,44 +87,24 @@ class TestUpdateEstimates:
         )
 
     def test_beta_zero_jumps_to_realized(self):
-        params = eng.UpdateParams.uniform(0.0)
-        updated = eng.update_estimates(record(0.3, 0.3, 0.3, 0.3), self.outcome(True), params)
+        updated = eng.update_estimates(record(0.3, 0.3, 0.3, 0.3), self.outcome(True), 0.0)
         assert (updated.s_hat, updated.g_hat, updated.d_hat, updated.c_hat) == (1.0, 0.6, 0.0, 0.2)
 
     def test_failure_blend(self):
-        params = eng.UpdateParams.uniform(0.1)
-        updated = eng.update_estimates(record(1.0), self.outcome(False), params)
+        updated = eng.update_estimates(record(1.0), self.outcome(False), 0.1)
         assert abs(updated.s_hat - 0.1) < 1e-12
 
     def test_count_increments(self):
-        params = eng.UpdateParams.uniform(0.5)
-        updated = eng.update_estimates(record(0.5, count=4), self.outcome(True), params)
+        updated = eng.update_estimates(record(0.5, count=4), self.outcome(True), 0.5)
         assert updated.interaction_count == 5
 
     @settings(max_examples=200)
     @given(st.floats(0.0, 0.99), unit, unit, st.integers(1, 60))
     def test_geometric_convergence(self, beta, c, s0, n):
-        params = eng.UpdateParams.uniform(beta)
         rec = record(s0)
         for _ in range(n):
-            rec = eng.update_from_realized(rec, c, c, c, c, params)
+            rec = eng.update_from_realized(rec, c, c, c, c, beta)
         assert abs(abs(rec.s_hat - c) - beta ** n * abs(s0 - c)) < 1e-12
-
-    @settings(max_examples=200)
-    @given(st.tuples(unit, unit, unit, unit, st.integers(0, 10**6)), unit, unit, unit, unit,
-           st.lists(st.floats(0.0, 0.99), min_size=4, max_size=4, unique=True))
-    def test_each_field_blends_with_its_own_beta(self, fields, s, g, d, c, betas):
-        # the runs use one beta for all four fields, so a swapped beta or
-        # field shows only when the four differ
-        r = record(*fields)
-        p = eng.UpdateParams(*betas)
-        assert eng.update_from_realized(r, s, g, d, c, p) == TrustRecord(
-            s_hat=eng.blend(r.s_hat, s, p.beta_s),
-            g_hat=eng.blend(r.g_hat, g, p.beta_g),
-            d_hat=eng.blend(r.d_hat, d, p.beta_d),
-            c_hat=eng.blend(r.c_hat, c, p.beta_c),
-            interaction_count=r.interaction_count + 1,
-        )
 
 
 class TestEnvCorrect:
@@ -141,7 +121,7 @@ class TestEnvCorrect:
         # snapshot (trustor, trustee, intermediate): the intermediate's 0.4 is the worst
         outcome = DelegationOutcome(success=False, gain=0.0, damage=0.2, cost=0.2,
                                     env_snapshot=(1.0, 0.8, 0.4))
-        updated = eng.update_estimates_env(record(0.5), outcome, eng.UpdateParams.uniform(0.0))
+        updated = eng.update_estimates_env(record(0.5), outcome, 0.0)
         assert abs(updated.d_hat - 0.5) < 1e-12
         assert abs(updated.c_hat - 0.5) < 1e-12
 
@@ -153,7 +133,6 @@ class TestEnvCorrect:
 class TestUpdateEstimatesEnv:
     @given(unit, unit, unit, unit, st.booleans(), unit, unit, unit, st.floats(0.0, 0.99))
     def test_all_ones_reduces_bit_for_bit(self, s, g, d, c, success, gain, damage, cost, beta):
-        params = eng.UpdateParams.uniform(beta)
         outcome = DelegationOutcome(
             success=success,
             gain=gain if success else 0.0,
@@ -162,7 +141,7 @@ class TestUpdateEstimatesEnv:
             env_snapshot=(1.0, 1.0, 1.0),
         )
         rec = record(s, g, d, c)
-        assert eng.update_estimates_env(rec, outcome, params) == eng.update_estimates(rec, outcome, params)
+        assert eng.update_estimates_env(rec, outcome, beta) == eng.update_estimates(rec, outcome, beta)
 
     def test_block_rate_stays_at_history(self):
         # realized success rate 0.32 under min-E 0.4 corrects to 0.8
@@ -170,10 +149,9 @@ class TestUpdateEstimatesEnv:
         assert abs(eng.blend(0.8, corrected, 0.1) - 0.8) < 1e-12
 
     def test_success_under_low_env_clamps(self):
-        params = eng.UpdateParams.uniform(0.0)
         outcome = DelegationOutcome(success=True, gain=1.0, damage=0.0, cost=0.0,
                                     env_snapshot=(0.5, 0.5))
-        updated = eng.update_estimates_env(record(0.2), outcome, params)
+        updated = eng.update_estimates_env(record(0.2), outcome, 0.0)
         assert updated.s_hat == 1.0
 
 

@@ -266,7 +266,7 @@ def reference_profit_series(profiles, trustor, sc, variant, run_idx, master, str
     for _ in range(iterations):
         node = sorted(records.items(), key=lambda pair: (-score(pair[1]), pair[0]))[0][0]
         outcome = sample_outcome(trustor, profiles[node], task, Environment(), (), rng)
-        records[node] = eng.update_estimates(records[node], outcome, eng.UpdateParams.uniform(sc.beta))
+        records[node] = eng.update_estimates(records[node], outcome, sc.beta)
         profits.append(outcome.gain - outcome.damage - outcome.cost)
         costs.append(outcome.cost)
     return {"profits": profits, "costs": costs}
