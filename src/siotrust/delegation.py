@@ -65,13 +65,21 @@ class DiscoveryResult(NamedTuple):
         return len(self.interrogated)
 
 
-# Memo of `round(t, 9)` for trace values, which repeat; rounding is slow. The
-# keys are float trust values in [0, 1], never -0.0, so equal keys round alike.
-# It is a pure cache, shared by the process and cleared past 4,096 entries.
-_ROUNDED: dict[float, float] = {}
-# Memo of `repr(t)` for the rounded values `_ROUNDED` gives, under the same
-# key rule and clearing; `repr` of a float is most of an encoded trace line.
-_TEXT: dict[float, str] = {}
+class _PairText(dict):
+    """Memo of the `[node,value]` JSON text of a ranked or rejection pair.
+
+    It is keyed by the (node, trust) tuple `run_delegation` builds, and the
+    value is `round(t, 9)` as `to_dict` writes it. The trust values are in
+    [0, 1] and never -0.0, so equal keys give equal text. It is a pure
+    cache, shared by the process and cleared past 4,096 entries.
+    """
+
+    def __missing__(self, pair: tuple[int, float]) -> str:
+        text = self[pair] = f"[{pair[0]},{round(pair[1], 9)!r}]"
+        return text
+
+
+_PAIR_TEXT = _PairText()
 _JSON_BOOL = {True: "true", False: "false"}
 
 
@@ -87,16 +95,12 @@ class DelegationTrace(NamedTuple):
     nodes_interrogated: int
 
     def to_dict(self) -> dict:
-        memo = _ROUNDED
-        if len(memo) > 4096:
-            memo.clear()
+        """The trace's reference shape: the record that `to_line` writes as JSON."""
         out = {
             "trustor": self.trustor,
             "task": self.task_id,
-            "ranked": [[n, memo[t] if t in memo else memo.setdefault(t, round(t, 9))]
-                       for n, t in self.ranked_candidates],
-            "rejections": [[n, memo[t] if t in memo else memo.setdefault(t, round(t, 9))]
-                           for n, t in self.rejections],
+            "ranked": [[n, round(t, 9)] for n, t in self.ranked_candidates],
+            "rejections": [[n, round(t, 9)] for n, t in self.rejections],
             "chosen": self.chosen if self.chosen is not None else "unavailable",
             "interrogated": self.nodes_interrogated,
             # the trace format keeps the key; the protocol never self-executes
@@ -114,36 +118,30 @@ class DelegationTrace(NamedTuple):
         return out
 
     def to_line(self) -> str:
-        """The trace log's NDJSON line: `to_dict` as canonical JSON, written for its shape.
+        """The trace log's NDJSON line: `to_dict` as canonical JSON, written in one pass.
 
         Keys are sorted and there are no spaces. The floats are finite, since
         records and outcomes are validated to [0, 1], and for a finite float
-        `repr` is what `json` writes. The ranked and rejection values, which
-        `to_dict` rounds, take their text from the `_TEXT` memo; the outcome
-        floats are not rounded and are written with a plain `repr`, so that
-        `-0.0` keeps its sign.
+        `repr` is what `json` writes. Each ranked and rejection pair takes its
+        text from the `_PAIR_TEXT` memo; the outcome floats are not rounded
+        and are written with a plain `repr`, never memoized, so that `-0.0`
+        keeps its sign.
         """
-        if len(_TEXT) > 4096:
-            _TEXT.clear()
-        d = self.to_dict()
-        chosen = d["chosen"] if self.chosen is not None else f'"{d["chosen"]}"'
-        o = d.get("outcome")
-        outcome = "" if o is None else (
-            f'"outcome":{{"abusive":{_JSON_BOOL[o["abusive"]]},"cost":{o["cost"]!r},'
-            f'"damage":{o["damage"]!r},"env":[{",".join(map(repr, o["env"]))}],'
-            f'"gain":{o["gain"]!r},"success":{_JSON_BOOL[o["success"]]}}},')
-        return (f'{{"chosen":{chosen},"interrogated":{d["interrogated"]},{outcome}'
-                f'"ranked":[{_json_pairs(d["ranked"])}],'
-                f'"rejections":[{_json_pairs(d["rejections"])}],'
-                f'"self_executed":{_JSON_BOOL[d["self_executed"]]},'
-                f'"task":{d["task"]},"trustor":{d["trustor"]}}}')
-
-
-def _json_pairs(pairs) -> str:
-    """`[[node, value], ...]` as JSON, without the outer brackets; value text from `_TEXT`."""
-    text = _TEXT
-    return ",".join([f"[{n},{text[t] if t in text else text.setdefault(t, repr(t))}]"
-                     for n, t in pairs])
+        text = _PAIR_TEXT
+        if len(text) > 4096:
+            text.clear()
+        ranked = ",".join(map(text.__getitem__, self.ranked_candidates))
+        rejections = ",".join(map(text.__getitem__, self.rejections))
+        chosen = '"unavailable"' if self.chosen is None else self.chosen
+        outcome = ""
+        if self.outcome is not None:
+            success, gain, damage, cost, abusive, env = self.outcome
+            outcome = (f'"outcome":{{"abusive":{_JSON_BOOL[abusive]},"cost":{cost!r},'
+                       f'"damage":{damage!r},"env":[{",".join(map(repr, env))}],'
+                       f'"gain":{gain!r},"success":{_JSON_BOOL[success]}}},')
+        return (f'{{"chosen":{chosen},"interrogated":{self.nodes_interrogated},{outcome}'
+                f'"ranked":[{ranked}],"rejections":[{rejections}],"self_executed":false,'
+                f'"task":{self.task_id},"trustor":{self.trustor}}}')
 
 
 class PathEvaluator:
@@ -488,12 +486,12 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
     interrogated = _interrogate(evaluator, trustor, task, params, svc_rows, rec_rows)
     best = _best_paths(evaluator, trustor, task, params, svc_rows, rec_rows)
 
-    # the candidates are built as `_new_tuple` builds validated tuples in
-    # `domain`, without the NamedTuple's Python-level `__new__`
+    # the candidates and the result are built as `_new_tuple` builds validated
+    # tuples in `domain`, without the NamedTuple's Python-level `__new__`;
+    # neither type validates
     if method != eng.AGGRESSIVE:
-        candidates = [_new_tuple(Candidate, (t, value, path, None))
-                      for t, (value, path) in sorted(best.items())]
-        return DiscoveryResult(tuple(candidates), interrogated)
+        candidates = [_new_tuple(Candidate, (t, *best[t], None)) for t in sorted(best)]
+        return _new_tuple(DiscoveryResult, (tuple(candidates), interrogated))
     candidates = []
     for t in sorted(best):
         per_char = best[t]
@@ -505,7 +503,7 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
             value += weight * per_char[char_id][0]
         shortest = min(char_paths.values(), key=lambda p: (len(p), p))
         candidates.append(_new_tuple(Candidate, (t, value, shortest, char_paths)))
-    return DiscoveryResult(tuple(candidates), interrogated)
+    return _new_tuple(DiscoveryResult, (tuple(candidates), interrogated))
 
 
 def sample_outcome(
@@ -594,10 +592,10 @@ def run_delegation(
             chosen = candidate
             break
         rejections.append((candidate.node, rev))
-    ranked_pairs = [(c.node, c.trust) for c in ranked]
+    ranked_pairs = [c[:2] for c in ranked]
     if chosen is None:
-        return DelegationTrace(trustor, task.id, ranked_pairs, rejections, None, None,
-                               disc.nodes_interrogated)
+        return _new_tuple(DelegationTrace, (trustor, task.id, ranked_pairs, rejections, None,
+                                            None, disc.nodes_interrogated))
 
     paths = chosen.char_paths.values() if chosen.char_paths else (chosen.best_path,)
     intermediates = sorted({node for path in paths for node in path[1:-1]})
@@ -612,5 +610,5 @@ def run_delegation(
         base = record or initial_record(request.initial_estimates)
         store.put(observer, subject, task.id, kind, eng.update_estimates(base, outcome, request.beta))
         evaluator.invalidate(observer, subject, structural=record is None)
-    return DelegationTrace(trustor, task.id, ranked_pairs, rejections, chosen.node, outcome,
-                           disc.nodes_interrogated)
+    return _new_tuple(DelegationTrace, (trustor, task.id, ranked_pairs, rejections, chosen.node,
+                                        outcome, disc.nodes_interrogated))

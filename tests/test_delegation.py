@@ -6,7 +6,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import siotrust.delegation as delegation
@@ -541,6 +541,12 @@ def _outcomes(draw):
 
 class TestTraceEncoder:
     @settings(max_examples=200, deadline=None, derandomize=True)
+    # a -0.0 beside a 0.0 in one outcome, which `_UNIT` never draws: the
+    # outcome floats must keep their sign, so no value memo may serve both
+    @example(DelegationTrace(1, 2, [(3, 0.0)], [], 3, DelegationOutcome(
+        success=True, gain=0.0, damage=0.0, cost=-0.0, abusive=False), 4))
+    @example(DelegationTrace(1, 2, [(3, 0.0)], [], 3, DelegationOutcome(
+        success=False, gain=-0.0, damage=0.5, cost=0.0, abusive=True), 4))
     @given(st.builds(DelegationTrace, trustor=st.integers(0, 10**6), task_id=st.integers(0, 10**6),
                      ranked_candidates=_PAIRS, rejections=_PAIRS,
                      chosen=st.none() | st.integers(0, 10**6), outcome=st.none() | _outcomes(),
@@ -551,9 +557,10 @@ class TestTraceEncoder:
         assert json.loads(line) == trace.to_dict()
 
     def test_lines_stay_canonical_across_text_memo_clears(self):
-        # 9,000 distinct values fill the text memo past its 4,096 entries, so
-        # it clears, then the same traces are encoded again from a partly
-        # refilled memo; values a few ulps apart share their rounded text
+        # 9,000 distinct (node, trust) pairs fill the pair-text memo past its
+        # 4,096 entries, so it clears, then the same traces are encoded again
+        # from a partly refilled memo; values a few ulps apart share their
+        # rounded text under distinct keys
         rng = random.Random(5)
         traces = []
         for i in range(1000):
@@ -561,12 +568,14 @@ class TestTraceEncoder:
             ranked[0] = (0, ranked[1][1] + 1e-12)
             traces.append(DelegationTrace(i, 0, ranked, [(n, rng.random()) for n in range(3)],
                                           None, None, 9))
+        delegation._PAIR_TEXT.clear()
         sizes = []
         for _ in range(2):
             for trace in traces:
                 assert trace.to_line() == json.dumps(trace.to_dict(), sort_keys=True,
                                                      separators=(",", ":"))
-                sizes.append(len(delegation._TEXT))
+                sizes.append(len(delegation._PAIR_TEXT))
+        assert max(sizes) > 4096
         assert max(sizes) <= 4096 + 9
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
 

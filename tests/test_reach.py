@@ -32,10 +32,12 @@ def kept(function: str, reason: str, *texts: str) -> dict:
 
 # (dotted function name, stripped first line) -> why no CLI call runs it
 KEPT = {
-    **kept("delegation.DelegationTrace.to_dict", "the memo clears past 4,096 entries",
-           "memo.clear()"),
+    **kept("delegation.DelegationTrace.to_dict",
+           "the trace's reference shape, which TestTraceEncoder compares every line "
+           "against, and a perfbench probe target",
+           "out = {", "if self.outcome is not None:", 'out["outcome"] = {', "return out"),
     **kept("delegation.DelegationTrace.to_line", "the memo clears past 4,096 entries",
-           "_TEXT.clear()"),
+           "text.clear()"),
     **kept("delegation.PathEvaluator.invalidate",
            "the structural branch that the multi-hop path updates need; every mutuality "
            "pair is preseeded, and TestEvaluatorCoherence reaches it",
