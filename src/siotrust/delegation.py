@@ -19,12 +19,14 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import trust_engine as eng
 from .domain import (
+    KINDS,
     RECOMMENDATION,
     SERVICE,
     AgentProfile,
     DelegationOutcome,
     Environment,
     Task,
+    TrustRecord,
     TrustStore,
     UsageLog,
     initial_record,
@@ -51,8 +53,9 @@ class Candidate(NamedTuple):
     char_paths: Optional[dict[int, tuple[int, ...]]] = None
 
 
-# `Candidate.trust` as a C-level sort key
+# `Candidate.trust` as a C-level sort key, and (node, trust) as the trace's pair
 _TRUST = itemgetter(1)
+_NODE_TRUST = itemgetter(0, 1)
 _new_tuple = tuple.__new__
 
 
@@ -68,10 +71,10 @@ class DiscoveryResult(NamedTuple):
 class _PairText(dict):
     """Memo of the `[node,value]` JSON text of a ranked or rejection pair.
 
-    It is keyed by the (node, trust) tuple `run_delegation` builds, and the
-    value is `round(t, 9)` as `to_dict` writes it. The trust values are in
-    [0, 1] and never -0.0, so equal keys give equal text. It is a pure
-    cache, shared by the process and cleared past 4,096 entries.
+    It is keyed by a (node, trust) tuple, and the value is `round(t, 9)` as
+    `to_dict` writes it. The trust values are in [0, 1] and never -0.0, so
+    equal keys give equal text. It is a pure cache, shared by the process
+    and cleared past 4,096 entries.
     """
 
     def __missing__(self, pair: tuple[int, float]) -> str:
@@ -84,11 +87,16 @@ _JSON_BOOL = {True: "true", False: "false"}
 
 
 class DelegationTrace(NamedTuple):
-    """What happened during one delegation, serializable for the trace log."""
+    """What happened during one delegation, serializable for the trace log.
+
+    `ranked_candidates` holds the ranked `Candidate`s and `rejections` the
+    (node, reverse trust) pairs; the log reads the node and trust of each
+    entry as its first two fields.
+    """
 
     trustor: int
     task_id: int
-    ranked_candidates: list[tuple[int, float]]
+    ranked_candidates: list[Candidate]
     rejections: list[tuple[int, float]]
     chosen: Optional[int]
     outcome: Optional[DelegationOutcome]
@@ -99,7 +107,7 @@ class DelegationTrace(NamedTuple):
         out = {
             "trustor": self.trustor,
             "task": self.task_id,
-            "ranked": [[n, round(t, 9)] for n, t in self.ranked_candidates],
+            "ranked": [[c[0], round(c[1], 9)] for c in self.ranked_candidates],
             "rejections": [[n, round(t, 9)] for n, t in self.rejections],
             "chosen": self.chosen if self.chosen is not None else "unavailable",
             "interrogated": self.nodes_interrogated,
@@ -122,15 +130,15 @@ class DelegationTrace(NamedTuple):
 
         Keys are sorted and there are no spaces. The floats are finite, since
         records and outcomes are validated to [0, 1], and for a finite float
-        `repr` is what `json` writes. Each ranked and rejection pair takes its
-        text from the `_PAIR_TEXT` memo; the outcome floats are not rounded
-        and are written with a plain `repr`, never memoized, so that `-0.0`
-        keeps its sign.
+        `repr` is what `json` writes. Each ranked candidate and rejection
+        takes its text from the `_PAIR_TEXT` memo, keyed by its (node, trust)
+        pair; the outcome floats are not rounded and are written with a plain
+        `repr`, never memoized, so that `-0.0` keeps its sign.
         """
         text = _PAIR_TEXT
         if len(text) > 4096:
             text.clear()
-        ranked = ",".join(map(text.__getitem__, self.ranked_candidates))
+        ranked = ",".join(map(text.__getitem__, map(_NODE_TRUST, self.ranked_candidates)))
         rejections = ",".join(map(text.__getitem__, self.rejections))
         chosen = '"unavailable"' if self.chosen is None else self.chosen
         outcome = ""
@@ -163,7 +171,8 @@ class PathEvaluator:
     covered-characteristic mask). Neighbours without records are left out,
     since an empty mask passes no method's test; the service list skips
     non-trustees before calling `pair_info`. The index reads only the exact
-    dict's keys, which a value-only write cannot change.
+    dict's keys, which a value-only write cannot change, and shares the
+    dict itself, so a patched value shows in the index too.
 
     Row cache: `evidence_rows(method, task, kind)` maps a node to its
     evidenced neighbours; `evidence_row` builds a missing entry by
@@ -182,7 +191,15 @@ class PathEvaluator:
     (`evidence_row`) and how a chain folds (`_best_paths`).
 
     Invalidation contract: every record written to the store after
-    construction goes through `invalidate`, as run_delegation does.
+    construction is passed to `invalidate` with its key, as run_delegation
+    does, and with whether the write created it. A value-only write changes
+    one exact-task value of one (observer, subject, kind): `invalidate`
+    patches that value into the cached pair info and its history, sets the
+    written task's hop to subject, and drops the hops to subject for the
+    observer's other tasks of that kind, which may have been inferred from
+    the old value. A write that creates a record can change ids and masks,
+    so it drops the pair info and hops of both kinds, the observer's
+    neighbour index entries and its evidence rows.
     """
 
     def __init__(
@@ -201,26 +218,37 @@ class PathEvaluator:
         self._neighbours: dict = {}
         self._evidence: dict = {}
 
-    def invalidate(self, observer: int, subject: int, structural: bool = False) -> None:
-        """Drop cached hop data after the observer's records about subject changed.
+    def invalidate(self, observer: int, subject: int, kind: str, task_id: int,
+                   record: TrustRecord, structural: bool) -> None:
+        """Bring the memos up to date after `record` was written for the key given.
 
-        A value-only write (an existing record updated) drops that pair's
-        info and the observer's hops to subject for every task, and keeps
-        the index and rows, whose ids and masks it cannot change.
-        `structural` marks a newly created record, which also drops the
-        observer's neighbour index entries and evidence rows of both kinds.
+        `structural` marks a newly created record; otherwise an existing one
+        was updated. See the class docstring's invalidation contract.
         """
-        for kind in (SERVICE, RECOMMENDATION):
-            self._pair.pop((observer, subject, kind), None)
-            by_task = self._hops.get((observer, kind))
-            if by_task is not None:
-                for row in by_task.values():
-                    row.pop(subject, None)
-            if structural:
-                self._neighbours.pop((observer, kind), None)
         if structural:
+            for k in KINDS:
+                self._pair.pop((observer, subject, k), None)
+                for row in self._hops.get((observer, k), {}).values():
+                    row.pop(subject, None)
+                self._neighbours.pop((observer, k), None)
             for rows in self._evidence.values():
                 rows.pop(observer, None)
+            return
+        tasks = self.tasks
+        tw = eng.post_evaluate(record)
+        key = (observer, subject, kind)
+        info = self._pair.get(key)
+        if info is not None:
+            # the index shares `exact`, so it is patched in place; the
+            # history follows its task-id order
+            exact = info[0]
+            exact[task_id] = tw
+            self._pair[key] = (exact, info[1], tuple([(tasks[t], w) for t, w in exact.items()]))
+        for t, row in self._hops.get((observer, kind), {}).items():
+            if t == task_id:
+                row[subject] = (tasks[t].mask, tw)
+            else:
+                row.pop(subject, None)
 
     def pair_info(self, observer: int, subject: int, kind: str):
         """({exact task id: post-evaluated tw}, covered-characteristic mask, (task, tw) history)."""
@@ -334,13 +362,16 @@ def _evidenced(entries, method: str, task: Task) -> tuple[int, ...]:
     return tuple([nbr for nbr, _, mask in entries if mask & task_mask])
 
 
-def _prefer(new: tuple[float, tuple[int, ...]], cur: tuple[float, tuple[int, ...]]) -> bool:
-    """Best path: higher value, then fewer hops, then lexicographically smaller."""
-    if new[0] != cur[0]:
-        return new[0] > cur[0]
-    if len(new[1]) != len(cur[1]):
-        return len(new[1]) < len(cur[1])
-    return new[1] < cur[1]
+def _prefer(new: tuple, cur: tuple) -> bool:
+    """Whether walk entry `new` beats `cur`, both `Candidate`-shaped.
+
+    Best path: higher value, then fewer hops, then lexicographically smaller.
+    """
+    if new[1] != cur[1]:
+        return new[1] > cur[1]
+    if len(new[2]) != len(cur[2]):
+        return len(new[2]) < len(cur[2])
+    return new[2] < cur[2]
 
 
 def _interrogate(evaluator: PathEvaluator, trustor: int, task: Task,
@@ -383,8 +414,11 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
                 svc_rows: dict, rec_rows: dict) -> dict:
     """Depth-first search over gated hops, as an explicit stack.
 
-    Returns the best (value, path) per reached trustee or, for the
-    aggressive method, per trustee and carried characteristic. `_prefer`
+    Returns the best entry per reached trustee or, for the aggressive
+    method, per trustee and carried characteristic. An entry has the shape
+    of a `Candidate`: (trustee, the path's value, the path, None). A
+    non-aggressive entry is built as a `Candidate` only when it is kept, so
+    it is the trustee's candidate as it stands. `_prefer`
     is a total order over distinct paths, so the visiting order does not
     change the result. The rows are `_interrogate`'s.
 
@@ -426,7 +460,7 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
                     continue
                 if prefix is not None:
                     tw = prefix * tw if multiply else transit(prefix, tw)
-                entry = (tw, path + (t,))
+                entry = (t, tw, path + (t,), None)
                 if aggressive:
                     per_char = best.get(t)
                     if per_char is None:
@@ -439,7 +473,7 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
                 else:
                     cur = best.get(t)
                     if cur is None or _prefer(entry, cur):
-                        best[t] = entry
+                        best[t] = _new_tuple(Candidate, entry)
         if len(path) > relay_len:
             continue
         rec = rec_rows[o]
@@ -486,21 +520,20 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
     interrogated = _interrogate(evaluator, trustor, task, params, svc_rows, rec_rows)
     best = _best_paths(evaluator, trustor, task, params, svc_rows, rec_rows)
 
-    # the candidates and the result are built as `_new_tuple` builds validated
-    # tuples in `domain`, without the NamedTuple's Python-level `__new__`;
-    # neither type validates
+    # the candidates (here and in `_best_paths`) and the result are built as
+    # `_new_tuple` builds validated tuples in `domain`, without the
+    # NamedTuple's Python-level `__new__`; neither type validates
     if method != eng.AGGRESSIVE:
-        candidates = [_new_tuple(Candidate, (t, *best[t], None)) for t in sorted(best)]
-        return _new_tuple(DiscoveryResult, (tuple(candidates), interrogated))
+        return _new_tuple(DiscoveryResult, (tuple([best[t] for t in sorted(best)]), interrogated))
     candidates = []
     for t in sorted(best):
         per_char = best[t]
         if len(per_char) != len(task.parts):
             continue
-        char_paths = {c: per_char[c][1] for c in sorted(per_char)}
+        char_paths = {c: per_char[c][2] for c in sorted(per_char)}
         value = 0.0
         for char_id, weight in task.parts:
-            value += weight * per_char[char_id][0]
+            value += weight * per_char[char_id][1]
         shortest = min(char_paths.values(), key=lambda p: (len(p), p))
         candidates.append(_new_tuple(Candidate, (t, value, shortest, char_paths)))
     return _new_tuple(DiscoveryResult, (tuple(candidates), interrogated))
@@ -576,9 +609,12 @@ def run_delegation(
     then update: the trustor's service record about the trustee (and
     recommendation records along the used paths), the trustee's usage log
     with the responsive/abusive draw. The records are written to the
-    evaluator's store, and every written pair is passed to its `invalidate`.
+    evaluator's store, and every written record is passed to its
+    `invalidate`. Only a path with a relay has intermediates and
+    recommendation records to update. The trace keeps the ranked candidates.
     """
     task = request.task
+    task_id = task.id
     trustor = request.trustor
     profiles = evaluator.profiles
     store = evaluator.store
@@ -592,23 +628,26 @@ def run_delegation(
             chosen = candidate
             break
         rejections.append((candidate.node, rev))
-    ranked_pairs = [c[:2] for c in ranked]
     if chosen is None:
-        return _new_tuple(DelegationTrace, (trustor, task.id, ranked_pairs, rejections, None,
+        return _new_tuple(DelegationTrace, (trustor, task_id, ranked, rejections, None,
                                             None, disc.nodes_interrogated))
 
     paths = chosen.char_paths.values() if chosen.char_paths else (chosen.best_path,)
-    intermediates = sorted({node for path in paths for node in path[1:-1]})
+    relayed = [path for path in paths if len(path) > 2]
+    intermediates = []
+    writes = [(trustor, chosen.node, SERVICE)]
+    if relayed:
+        intermediates = sorted({node for path in relayed for node in path[1:-1]})
+        rec_pairs = {(path[i], path[i + 1]) for path in relayed for i in range(len(path) - 2)}
+        writes += [(observer, subject, RECOMMENDATION) for observer, subject in sorted(rec_pairs)]
     outcome = sample_outcome(profiles[trustor], profiles[chosen.node], task, env, intermediates, rng)
     usage_log.record(chosen.node, trustor, responsive=not outcome.abusive)
 
-    rec_pairs = {(path[i], path[i + 1]) for path in paths for i in range(len(path) - 2)}
-    writes = [(trustor, chosen.node, SERVICE)]
-    writes += [(observer, subject, RECOMMENDATION) for observer, subject in sorted(rec_pairs)]
     for observer, subject, kind in writes:
-        record = store.get(observer, subject, task.id, kind)
+        record = store.get(observer, subject, task_id, kind)
         base = record or initial_record(request.initial_estimates)
-        store.put(observer, subject, task.id, kind, eng.update_estimates(base, outcome, request.beta))
-        evaluator.invalidate(observer, subject, structural=record is None)
-    return _new_tuple(DelegationTrace, (trustor, task.id, ranked_pairs, rejections, chosen.node,
+        updated = eng.update_estimates(base, outcome, request.beta)
+        store.put(observer, subject, task_id, kind, updated)
+        evaluator.invalidate(observer, subject, kind, task_id, updated, structural=record is None)
+    return _new_tuple(DelegationTrace, (trustor, task_id, ranked, rejections, chosen.node,
                                         outcome, disc.nodes_interrogated))

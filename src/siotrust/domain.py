@@ -182,15 +182,20 @@ class AgentProfile(_ProfileFields):
 
     def __new__(cls, *args, **kwargs):
         self = _ProfileFields.__new__(cls, *args, **kwargs)
-        _check_unit("integrity", self.integrity)
-        _check_unit("default_threshold", self.default_threshold)
-        for c, v in self.competence.items():
-            _check_unit(f"competence[{c}]", v)
-        _check_unit("gain", self.gain)
-        _check_unit("damage", self.damage)
-        _check_unit("cost", self.cost)
-        if not 0.0 <= self.cost_multiplier < math.inf:
-            raise ValueError(f"cost_multiplier must be finite and >= 0, got {self.cost_multiplier}")
+        _, _, competence, integrity, threshold, _, gain, damage, cost, multiplier = self
+        if not (0.0 <= integrity <= 1.0 and 0.0 <= threshold <= 1.0 and 0.0 <= gain <= 1.0
+                and 0.0 <= damage <= 1.0 and 0.0 <= cost <= 1.0 and 0.0 <= multiplier < math.inf
+                and all([0.0 <= v <= 1.0 for v in competence.values()])):
+            # not all valid: the checks below name the first bad field
+            _check_unit("integrity", integrity)
+            _check_unit("default_threshold", threshold)
+            for c, v in competence.items():
+                _check_unit(f"competence[{c}]", v)
+            _check_unit("gain", gain)
+            _check_unit("damage", damage)
+            _check_unit("cost", cost)
+            if not 0.0 <= multiplier < math.inf:
+                raise ValueError(f"cost_multiplier must be finite and >= 0, got {multiplier}")
         return self
 
     def task_competence(self, task: Task) -> float:

@@ -311,8 +311,36 @@ class TestRunDelegation:
         assert abs(hits / 400 - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 400)
 
 
+def assert_memos_fresh(ev):
+    """Every cached pair info, index entry, evidence row and hop of `ev` is a fresh evaluator's."""
+    fresh = PathEvaluator(ev.graph, ev.profiles, ev.store, ev.tasks)
+    for key, info in ev._pair.items():
+        assert info == fresh.pair_info(*key), key
+    for (node, kind), entries in ev._neighbours.items():
+        assert entries == fresh._neighbour_index(node, kind), (node, kind)
+    for (method, task_id, kind), rows in ev._evidence.items():
+        for node, row in rows.items():
+            assert row == fresh.evidence_row(method, ev.tasks[task_id], kind, node), (method, node)
+    for (observer, kind), by_task in ev._hops.items():
+        for task_id, row in by_task.items():
+            for subject, hop in row.items():
+                expected = fresh.hop_tw(observer, subject, kind, ev.tasks[task_id])
+                assert hop == expected, (observer, subject, kind, task_id)
+
+
+class CheckedEvaluator(PathEvaluator):
+    """An evaluator whose memos are checked against a fresh one's after every write."""
+
+    writes = 0
+
+    def invalidate(self, *args, **kwargs):
+        super().invalidate(*args, **kwargs)
+        self.writes += 1
+        assert_memos_fresh(self)
+
+
 class TestEvaluatorCoherence:
-    """A reused evaluator must agree with a fresh one after run_delegation's writes."""
+    """A reused evaluator must agree with a fresh one after each of run_delegation's writes."""
 
     METHODS = ("traditional", "conservative", "aggressive")
 
@@ -338,7 +366,7 @@ class TestEvaluatorCoherence:
 
     def test_reused_evaluator_matches_fresh_after_each_delegation(self):
         graph, store, profiles, target, tasks = self.world()
-        ev = PathEvaluator(graph, profiles, store, tasks)
+        ev = CheckedEvaluator(graph, profiles, store, tasks)
         usage = UsageLog()
         rng = random.Random(1)
         row_before = tuple(ev.evidence_row(eng.TRADITIONAL, target, kind, 0)
@@ -362,6 +390,34 @@ class TestEvaluatorCoherence:
                                                 request)
                 assert reused == fresh, (step, m)
                 assert reused.candidates
+        assert ev.writes >= 4
+
+    def test_value_write_drops_the_hops_it_inferred(self):
+        # Trustor 0 holds service records about trustee 1 on the target and
+        # on task 1. Discoveries of every task first memoize 0's hops to 1:
+        # task 2's is inferred from the target's record alone, as task 1
+        # does not cover characteristic 1. Each delegation then rewrites the
+        # target's record, a value-only write, so task 2's hop must go.
+        graph = make_graph(2, [(0, 1)])
+        target = make_task(0, [(0, 0.5), (1, 0.5)])
+        tasks = {t.id: t for t in (target, make_task(1, [(0, 1.0)]), make_task(2, [(1, 1.0)]))}
+        store = TrustStore()
+        store.put(0, 1, 0, SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
+        store.put(0, 1, 1, SERVICE, TrustRecord(0.4, 1.0, 1.0, 0.0, 1))
+        profiles = {0: AgentProfile(node=0, integrity=1.0),
+                    1: AgentProfile(node=1, is_trustee=True, competence={0: 1.0, 1: 1.0})}
+        ev = CheckedEvaluator(graph, profiles, store, tasks)
+        usage, rng = UsageLog(), random.Random(1)
+        for step in range(4):
+            for task in tasks.values():
+                for m in self.METHODS:
+                    find_potential_trustees(ev, request_for(task, method=m))
+            inferred = ev.hop_tw(0, 1, SERVICE, tasks[2])
+            trace = run_delegation(ev, usage, Environment(), request_for(target), rng)
+            assert trace.chosen == 1
+            assert ev.hop_tw(0, 1, SERVICE, tasks[2]) != inferred, step
+        assert ev.writes == 4
+        assert store.get(0, 1, 0, SERVICE).interaction_count == 5
 
     def test_reused_evaluator_matches_fresh_on_random_worlds(self):
         # Every delegation writes through invalidate; afterwards the reused
@@ -371,7 +427,7 @@ class TestEvaluatorCoherence:
         # Each trustee's reverse threshold comes from a generator of its own,
         # so the world's records stay those of `random_instance(seed)`; a
         # fresh pair's reverse trust is 0.5, so thresholds above it reject.
-        rejections = writes = 0
+        rejections = writes = checked = 0
         for seed in range(40):
             graph, store, profiles, _, _, _, tasks = random_instance(seed)
             thresholds = random.Random(seed + 1000)
@@ -383,7 +439,7 @@ class TestEvaluatorCoherence:
             }
             nodes = list(graph.nodes())
             pool = [tasks[i] for i in sorted(tasks)]
-            ev = PathEvaluator(graph, profiles, store, tasks)
+            ev = CheckedEvaluator(graph, profiles, store, tasks)
             usage = UsageLog()
             rng = random.Random(seed)
             for step in range(8):
@@ -409,7 +465,9 @@ class TestEvaluatorCoherence:
                                                    tasks, m)
                         assert ({c.node: c.trust for c in reused.candidates}
                                 == {n: e[0] for n, e in expected.items()}), where
+            checked += ev.writes
         assert rejections and writes
+        assert checked >= writes
 
 
 class TestHopTw:
@@ -453,9 +511,10 @@ class TestHopTw:
         before = {(s, kind, t): ev.hop_tw(0, s, kind, tasks[t])
                   for s in (1, 2) for kind in KINDS for t in tasks}
         for kind in KINDS:
-            store.put(0, 1, 0, kind, TrustRecord(0.2, 1.0, 1.0, 0.0, 2))
+            written = TrustRecord(0.2, 1.0, 1.0, 0.0, 2)
+            store.put(0, 1, 0, kind, written)
+            ev.invalidate(0, 1, kind, 0, written, structural=False)
             store.put(0, 2, 0, kind, TrustRecord(0.3, 1.0, 1.0, 0.0, 2))
-        ev.invalidate(0, 1)
         fresh = PathEvaluator(graph, {}, store, tasks)
         for kind in KINDS:
             for t in tasks:
@@ -528,6 +587,12 @@ _EXPONENT = st.sampled_from([1e-05, 2.5e-07, 1e-09, 3e-10, 1e-300, 5e-324])
 _UNIT = st.one_of(st.floats(0.0, 1.0), _EXPONENT)
 _ENV = st.one_of(st.floats(0.0, 1.0, exclude_min=True), _EXPONENT)
 _PAIRS = st.lists(st.tuples(st.integers(0, 10**6), _UNIT), max_size=6)
+# ranked candidates as discovery builds them; an aggressive one's char_paths
+# is a dict, so the trace must not hash a candidate whole
+_PATH = st.lists(st.integers(0, 10**6), min_size=2, max_size=4).map(tuple)
+_RANKED = st.lists(st.builds(Candidate, st.integers(0, 10**6), _UNIT, _PATH,
+                             st.none() | st.dictionaries(st.integers(0, 9), _PATH, max_size=3)),
+                   max_size=6)
 
 
 @st.composite
@@ -548,7 +613,7 @@ class TestTraceEncoder:
     @example(DelegationTrace(1, 2, [(3, 0.0)], [], 3, DelegationOutcome(
         success=False, gain=-0.0, damage=0.5, cost=0.0, abusive=True), 4))
     @given(st.builds(DelegationTrace, trustor=st.integers(0, 10**6), task_id=st.integers(0, 10**6),
-                     ranked_candidates=_PAIRS, rejections=_PAIRS,
+                     ranked_candidates=_RANKED, rejections=_PAIRS,
                      chosen=st.none() | st.integers(0, 10**6), outcome=st.none() | _outcomes(),
                      nodes_interrogated=st.integers(0, 10**6)))
     def test_line_is_canonical_json_of_the_dict(self, trace):

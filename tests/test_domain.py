@@ -275,6 +275,7 @@ RECORD_FIELDS = ("s_hat", "g_hat", "d_hat", "c_hat")
 # (field, success): each unit-range outcome field is set on an outcome that is
 # otherwise valid, so damage goes on a failure and gain on a success
 OUTCOME_FIELDS = (("gain", True), ("damage", False), ("cost", True), ("cost", False))
+PROFILE_FIELDS = ("integrity", "default_threshold", "gain", "damage", "cost")
 
 
 def _bad_record(name, value):
@@ -318,6 +319,17 @@ VALIDATION_CASES = [
     *((f"cost_multiplier={value}", lambda value=value: AgentProfile(node=0, cost_multiplier=value),
        f"cost_multiplier must be finite and >= 0, got {value}")
       for value in (-1.0, -1e-300, NAN, math.inf)),
+    *((f"profile {name}={value}", lambda name=name, value=value: AgentProfile(node=0, **{name: value}),
+       f"{name} must be in [0, 1], got {value}")
+      for name in PROFILE_FIELDS for value in (-0.1, 1.5, NAN)),
+    *((f"competence={value}",
+       lambda value=value: AgentProfile(node=0, competence={0: 0.5, 3: value}),
+       f"competence[3] must be in [0, 1], got {value}")
+      for value in (-0.1, 1.5, NAN)),
+    # several bad fields: the message names the first in field order
+    ("profile, first bad field",
+     lambda: AgentProfile(node=0, competence={0: 1.5}, cost=2.0, cost_multiplier=NAN),
+     "competence[0] must be in [0, 1], got 1.5"),
 ]
 
 

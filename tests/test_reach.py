@@ -24,6 +24,7 @@ PACKAGE = Path(siotrust.__file__).parent
 
 VALIDATED = "the validating slow path of a value type; the program builds every value in range"
 INTERNAL = "rejects a value the program builds itself, never outside input"
+MULTI_HOP = "the intermediates of a multi-hop delegation, the paper's update along paths"
 
 
 def kept(function: str, reason: str, *texts: str) -> dict:
@@ -41,20 +42,30 @@ KEPT = {
     **kept("delegation.PathEvaluator.invalidate",
            "the structural branch that the multi-hop path updates need; every mutuality "
            "pair is preseeded, and TestEvaluatorCoherence reaches it",
-           "self._neighbours.pop((observer, kind), None)",
-           "for rows in self._evidence.values():", "rows.pop(observer, None)"),
+           "for k in KINDS:", "self._pair.pop((observer, subject, k), None)",
+           "for row in self._hops.get((observer, k), {}).values():",
+           "self._neighbours.pop((observer, k), None)",
+           "for rows in self._evidence.values():", "rows.pop(observer, None)", "return"),
+    **kept("delegation.PathEvaluator.invalidate",
+           "the structural drop, and a value-only write's drop of the hops of a pair's "
+           "other tasks; a mutuality unit has one task, and TestEvaluatorCoherence "
+           "reaches both", "row.pop(subject, None)"),
     **kept("delegation.PathEvaluator._new_hop", "README documents the rejection",
            'raise ValueError(f"task {task_id} is not in the evaluator\'s task map")'),
     **kept("delegation.PathEvaluator._new_hop",
            "a stranger is not a distrusted node (TrustStore, test_no_records_is_none)",
            "hit = (0, None)"),
     **kept("delegation._prefer", "the tie-breaks run only on exactly equal path values",
-           "if len(new[1]) != len(cur[1]):", "return len(new[1]) < len(cur[1])",
-           "return new[1] < cur[1]"),
-    **kept("delegation.sample_outcome",
-           "the intermediates of a multi-hop delegation, the paper's update along paths",
+           "if len(new[2]) != len(cur[2]):", "return len(new[2]) < len(cur[2])",
+           "return new[2] < cur[2]"),
+    **kept("delegation.sample_outcome", MULTI_HOP,
            "snapshot += tuple(env.at(i) for i in intermediates)"),
-    **kept("domain._check_unit", VALIDATED,
+    **kept("delegation.run_delegation", MULTI_HOP,
+           "intermediates = sorted({node for path in relayed for node in path[1:-1]})",
+           "rec_pairs = {(path[i], path[i + 1]) for path in relayed for i in range(len(path) - 2)}",
+           "writes += [(observer, subject, RECOMMENDATION) for observer, subject in "
+           "sorted(rec_pairs)]"),
+    **kept("domain._check_unit", VALIDATED, "if not 0.0 <= value <= 1.0:",
            'raise ValueError(f"{name} must be in [0, 1], got {value}")'),
     **kept("domain.TrustRecord.__new__", VALIDATED,
            '_check_unit("s_hat", s_hat)', '_check_unit("g_hat", g_hat)',
@@ -63,7 +74,11 @@ KEPT = {
     **kept("domain.TrustStore.put", "the one check of a record's kind",
            'raise ValueError(f"unknown kind {kind!r}")'),
     **kept("domain.AgentProfile.__new__", VALIDATED,
-           'raise ValueError(f"cost_multiplier must be finite and >= 0, got {self.cost_multiplier}")'),
+           '_check_unit("integrity", integrity)', '_check_unit("default_threshold", threshold)',
+           "for c, v in competence.items():", '_check_unit(f"competence[{c}]", v)',
+           '_check_unit("gain", gain)', '_check_unit("damage", damage)',
+           '_check_unit("cost", cost)', "if not 0.0 <= multiplier < math.inf:",
+           'raise ValueError(f"cost_multiplier must be finite and >= 0, got {multiplier}")'),
     **kept("domain.AgentProfile.task_competence", INTERNAL,
            'raise KeyError(f"node {self.node} has no competence for characteristic {char_id}")'),
     **kept("domain.UsageLog.seed", INTERNAL, 'raise ValueError("responsive count out of range")'),
