@@ -19,7 +19,6 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import trust_engine as eng
 from .domain import (
-    KINDS,
     RECOMMENDATION,
     SERVICE,
     AgentProfile,
@@ -190,16 +189,17 @@ class PathEvaluator:
     method; the method picks only which neighbours count as evidence
     (`evidence_row`) and how a chain folds (`_best_paths`).
 
-    Invalidation contract: every record written to the store after
-    construction is passed to `invalidate` with its key, as run_delegation
-    does, and with whether the write created it. A value-only write changes
-    one exact-task value of one (observer, subject, kind): `invalidate`
-    patches that value into the cached pair info and its history, sets the
-    written task's hop to subject, and drops the hops to subject for the
-    observer's other tasks of that kind, which may have been inferred from
-    the old value. A write that creates a record can change ids and masks,
-    so it drops the pair info and hops of both kinds, the observer's
-    neighbour index entries and its evidence rows.
+    Invalidation contract: hops, index entries and evidence rows are all
+    built through `pair_info`, so a pair the evaluator has not read has
+    nothing cached, and a write to it, such as the inference unit's, needs
+    no call. Every record written to a read pair is passed to `invalidate`
+    with its key, as run_delegation does. A task id the cached pair holds
+    is a value-only write: `invalidate` patches the value into the pair
+    info and its history, sets the written task's hop to subject, and
+    drops the hops to subject for the observer's other tasks of that kind,
+    which may have been inferred from the old value. A new task id drops
+    the pair info, the observer's hops to subject, its neighbour index
+    entry and its evidence rows, of the written kind only.
     """
 
     def __init__(
@@ -219,32 +219,29 @@ class PathEvaluator:
         self._evidence: dict = {}
 
     def invalidate(self, observer: int, subject: int, kind: str, task_id: int,
-                   record: TrustRecord, structural: bool) -> None:
-        """Bring the memos up to date after `record` was written for the key given.
-
-        `structural` marks a newly created record; otherwise an existing one
-        was updated. See the class docstring's invalidation contract.
-        """
-        if structural:
-            for k in KINDS:
-                self._pair.pop((observer, subject, k), None)
-                for row in self._hops.get((observer, k), {}).values():
-                    row.pop(subject, None)
-                self._neighbours.pop((observer, k), None)
-            for rows in self._evidence.values():
-                rows.pop(observer, None)
-            return
-        tasks = self.tasks
-        tw = eng.post_evaluate(record)
+                   record: TrustRecord) -> None:
+        """Bring the memos up to date after `record` was written for the key given."""
         key = (observer, subject, kind)
         info = self._pair.get(key)
-        if info is not None:
-            # the index shares `exact`, so it is patched in place; the
-            # history follows its task-id order
-            exact = info[0]
-            exact[task_id] = tw
-            self._pair[key] = (exact, info[1], tuple([(tasks[t], w) for t, w in exact.items()]))
-        for t, row in self._hops.get((observer, kind), {}).items():
+        if info is None:
+            return
+        exact = info[0]
+        hops = self._hops.get((observer, kind), {})
+        if task_id not in exact:
+            del self._pair[key]
+            for row in hops.values():
+                row.pop(subject, None)
+            self._neighbours.pop((observer, kind), None)
+            for (_, _, k), rows in self._evidence.items():
+                if k == kind:
+                    rows.pop(observer, None)
+            return
+        tasks = self.tasks
+        # the index shares `exact`, so it is patched in place; the history
+        # follows its task-id order
+        tw = exact[task_id] = eng.post_evaluate(record)
+        self._pair[key] = (exact, info[1], tuple([(tasks[t], w) for t, w in exact.items()]))
+        for t, row in hops.items():
             if t == task_id:
                 row[subject] = (tasks[t].mask, tw)
             else:
@@ -648,6 +645,6 @@ def run_delegation(
         base = record or initial_record(request.initial_estimates)
         updated = eng.update_estimates(base, outcome, request.beta)
         store.put(observer, subject, task_id, kind, updated)
-        evaluator.invalidate(observer, subject, kind, task_id, updated, structural=record is None)
+        evaluator.invalidate(observer, subject, kind, task_id, updated)
     return _new_tuple(DelegationTrace, (trustor, task_id, ranked, rejections, chosen.node,
                                         outcome, disc.nodes_interrogated))

@@ -101,10 +101,10 @@ def correct_realized(realized: float, min_env: float) -> float:
     """Divide out the worst environment along the path, clamped to [0, 1].
 
     A result above 1 after correction means the subject over-performed its
-    environment; the clamp flags that case by saturating.
+    environment; the clamp flags that case by saturating. Both callers pass
+    a `min_env` already checked to (0, 1]: a validated outcome snapshot's
+    minimum, or a `Scenario`'s environment value.
     """
-    if not 0.0 < min_env <= 1.0:
-        raise ValueError(f"environment values must be in (0, 1], got {min_env}")
     return clamp01(realized / min_env)
 
 

@@ -419,6 +419,78 @@ class TestEvaluatorCoherence:
         assert ev.writes == 4
         assert store.get(0, 1, 0, SERVICE).interaction_count == 5
 
+    def read_everything(self, ev):
+        """Fill the memos: every evidence row, and every hop along an edge."""
+        for node in ev.graph.nodes():
+            for kind in KINDS:
+                for task in ev.tasks.values():
+                    for m in self.METHODS:
+                        ev.evidence_row(m, task, kind, node)
+                    for nbr in ev.graph.neighbors(node):
+                        ev.hop_tw(node, nbr, kind, task)
+
+    def test_created_record_leaves_the_other_kind_cached(self):
+        # 0 holds records of both kinds about 1 and 2 on task 0. A created
+        # service record on task 1 can change 0's service ids and masks only,
+        # so 0's recommendation memos must stay, the same objects as before.
+        graph = make_graph(3, [(0, 1), (0, 2)])
+        tasks = {0: make_task(0, [(0, 1.0)]), 1: make_task(1, [(0, 0.5), (1, 0.5)])}
+        store = TrustStore()
+        for kind in KINDS:
+            for s in (1, 2):
+                store.put(0, s, 0, kind, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
+        profiles = {n: AgentProfile(node=n, is_trustee=n > 0) for n in range(3)}
+        ev = PathEvaluator(graph, profiles, store, tasks)
+        self.read_everything(ev)
+        pairs = {s: ev.pair_info(0, s, RECOMMENDATION) for s in (1, 2)}
+        # every recommendation hop, and the service hops to 2: only the
+        # service hops to the written subject 1 go
+        hops = {(s, kind, t): ev.hop_tw(0, s, kind, task)
+                for s in (1, 2) for kind in KINDS for t, task in tasks.items()
+                if kind == RECOMMENDATION or s == 2}
+        index = ev._neighbour_index(0, RECOMMENDATION)
+        rows = {(m, t): ev.evidence_row(m, task, RECOMMENDATION, 0)
+                for m in self.METHODS for t, task in tasks.items()}
+        written = TrustRecord(0.2, 1.0, 1.0, 0.0, 1)
+        store.put(0, 1, 1, SERVICE, written)
+        ev.invalidate(0, 1, SERVICE, 1, written)
+        assert_memos_fresh(ev)
+        assert (0, 1, SERVICE) not in ev._pair
+        assert ev.evidence_rows(eng.AGGRESSIVE, tasks[1], SERVICE).get(0) is None
+        for s, info in pairs.items():
+            assert ev.pair_info(0, s, RECOMMENDATION) is info
+        for (s, kind, t), hop in hops.items():
+            assert ev.hop_tw(0, s, kind, tasks[t]) is hop, (s, kind, t)
+        assert ev._neighbour_index(0, RECOMMENDATION) is index
+        for (m, t), row in rows.items():
+            assert ev.evidence_rows(m, tasks[t], RECOMMENDATION).get(0) is row, (m, t)
+
+    def test_write_to_an_unread_pair_leaves_every_memo(self):
+        # 0 and 2 are not neighbours, so no memo reads the pair (0, 2), as
+        # with a two-hop delegation's service record about its trustee.
+        graph = make_graph(3, [(0, 1), (1, 2)])
+        tasks = {0: make_task(0, [(0, 1.0)])}
+        store = TrustStore()
+        store.put(0, 1, 0, RECOMMENDATION, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
+        store.put(1, 2, 0, SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
+        profiles = {n: AgentProfile(node=n, is_trustee=n == 2) for n in range(3)}
+        ev = PathEvaluator(graph, profiles, store, tasks)
+        self.read_everything(ev)
+        find_potential_trustees(ev, request_for(tasks[0], max_hops=2))
+
+        def memos():
+            return (dict(ev._pair),
+                    {k: {t: dict(row) for t, row in by_task.items()} for k, by_task in ev._hops.items()},
+                    dict(ev._neighbours), {k: dict(rows) for k, rows in ev._evidence.items()})
+
+        before = memos()
+        written = TrustRecord(0.2, 1.0, 1.0, 0.0, 1)
+        store.put(0, 2, 0, SERVICE, written)
+        ev.invalidate(0, 2, SERVICE, 0, written)
+        assert memos() == before
+        assert_memos_fresh(ev)
+        assert ev.pair_info(0, 2, SERVICE)[0] == {0: eng.post_evaluate(written)}
+
     def test_reused_evaluator_matches_fresh_on_random_worlds(self):
         # Every delegation writes through invalidate; afterwards the reused
         # evaluator's memos, index and rows must give what a fresh one and
@@ -513,7 +585,7 @@ class TestHopTw:
         for kind in KINDS:
             written = TrustRecord(0.2, 1.0, 1.0, 0.0, 2)
             store.put(0, 1, 0, kind, written)
-            ev.invalidate(0, 1, kind, 0, written, structural=False)
+            ev.invalidate(0, 1, kind, 0, written)
             store.put(0, 2, 0, kind, TrustRecord(0.3, 1.0, 1.0, 0.0, 2))
         fresh = PathEvaluator(graph, {}, store, tasks)
         for kind in KINDS:

@@ -125,10 +125,6 @@ class TestEnvCorrect:
         assert abs(updated.d_hat - 0.5) < 1e-12
         assert abs(updated.c_hat - 0.5) < 1e-12
 
-    def test_rejects_bad_environment(self):
-        with pytest.raises(ValueError):
-            eng.correct_realized(0.5, 0.0)
-
 
 class TestUpdateEstimatesEnv:
     @given(unit, unit, unit, unit, st.booleans(), unit, unit, unit, st.floats(0.0, 0.99))

@@ -40,16 +40,21 @@ KEPT = {
     **kept("delegation.DelegationTrace.to_line", "the memo clears past 4,096 entries",
            "text.clear()"),
     **kept("delegation.PathEvaluator.invalidate",
-           "the structural branch that the multi-hop path updates need; every mutuality "
-           "pair is preseeded, and TestEvaluatorCoherence reaches it",
-           "for k in KINDS:", "self._pair.pop((observer, subject, k), None)",
-           "for row in self._hops.get((observer, k), {}).values():",
-           "self._neighbours.pop((observer, k), None)",
-           "for rows in self._evidence.values():", "rows.pop(observer, None)", "return"),
+           "the drop for a created record, which the multi-hop path updates need; every "
+           "mutuality pair is preseeded and read before its write, and "
+           "TestEvaluatorCoherence reaches it",
+           "del self._pair[key]", "for row in hops.values():",
+           "self._neighbours.pop((observer, kind), None)",
+           "for (_, _, k), rows in self._evidence.items():", "if k == kind:",
+           "rows.pop(observer, None)"),
     **kept("delegation.PathEvaluator.invalidate",
-           "the structural drop, and a value-only write's drop of the hops of a pair's "
-           "other tasks; a mutuality unit has one task, and TestEvaluatorCoherence "
-           "reaches both", "row.pop(subject, None)"),
+           "the returns for a pair never read and for a created record; every mutuality "
+           "write goes to a read pair's existing task, and TestEvaluatorCoherence "
+           "reaches both", "return"),
+    **kept("delegation.PathEvaluator.invalidate",
+           "the drop for a created record, and a value-only write's drop of the hops of "
+           "a pair's other tasks; a mutuality unit has one task, and "
+           "TestEvaluatorCoherence reaches both", "row.pop(subject, None)"),
     **kept("delegation.PathEvaluator._new_hop", "README documents the rejection",
            'raise ValueError(f"task {task_id} is not in the evaluator\'s task map")'),
     **kept("delegation.PathEvaluator._new_hop",
@@ -109,8 +114,8 @@ KEPT = {
     **kept("graph.SocialGraph.has_edge", "the frozen transitivity oracle calls it",
            "nbrs = self.adjacency[u]", "i = bisect_left(nbrs, v)",
            "return i < len(nbrs) and nbrs[i] == v"),
-    **kept("graph.role_count", "Scenario checks role_fraction first; sample_roles keeps its "
-           "own check (test_invalid_fraction)",
+    **kept("graph.role_count", "Scenario checks role_fraction first; sample_roles is "
+           "exported from siotrust and takes a caller's fraction",
            'raise ValueError(f"fraction must be in (0, 1], got {fraction}")'),
     **kept("report.write_plot", INTERNAL,
            'raise ValueError("write_plot needs at least one series")',
@@ -118,9 +123,6 @@ KEPT = {
            'raise ValueError(f"series {s.name!r} is empty")'),
     **kept("seeds.derive_seed", INTERNAL,
            'raise TypeError(f"seed parts must be int or str, got {type(part).__name__}")'),
-    **kept("trust_engine.correct_realized", "Scenario checks env_values first; the "
-           "function keeps its own check (test_rejects_bad_environment)",
-           'raise ValueError(f"environment values must be in (0, 1], got {min_env}")'),
     **kept("trust_engine.update_estimates_env", "acceptance criterion 7f names it",
            "min_env = min(outcome.env_snapshot)",
            "realized_s = 1.0 if outcome.success else 0.0", "return update_from_realized("),
