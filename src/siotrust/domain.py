@@ -73,14 +73,14 @@ def make_task(task_id: int, parts: Sequence[tuple[int, float]]) -> Task:
         total += weight
     if total == math.inf:
         raise ValueError(f"task {task_id}: the weights' sum must be finite")
-    norm = tuple((int(c), w / total) for c, w in parts)
+    norm = tuple((c, w / total) for c, w in parts)
     if any(w == 0.0 for _, w in norm):
         raise ValueError(f"task {task_id}: a weight is too small beside the weights' sum")
     char_ids = tuple(c for c, _ in norm)
     mask = 0
     for c in char_ids:
         mask |= 1 << c
-    return Task(int(task_id), norm, char_ids, mask)
+    return Task(task_id, norm, char_ids, mask)
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -311,8 +311,8 @@ _METHOD = (f"{', '.join(METHODS[:-1])} or {METHODS[-1]}", lambda v: v in METHODS
 # One row per Scenario field, in the key order of `to_dict`: (name, default,
 # type, minimum entries of a list field or None for a scalar, allowed
 # (description, test) or None). List entries are checked one by one; a field
-# whose default is None may be None; `tasks` has no type, as `Scenario`
-# parses it itself.
+# whose default is None may be None; `tasks` has no type, as `_parse_tasks`
+# parses it.
 _SCENARIO_FIELDS = (
     # shared
     ("role_fraction", 0.4, float, None, _OPEN_UNIT),
@@ -377,12 +377,43 @@ def _check_field(name: str, value, kind: type, allowed) -> None:
         raise ScenarioError(f"{name} must be {allowed[0]}, got {value!r}")
 
 
+def _parse_tasks(entries) -> tuple[tuple, tuple[Task, ...]]:
+    """The `tasks` echo, each weight a float, and its Tasks sorted by id.
+
+    Each `[id, [[characteristic, weight], ...]]` entry is type-checked before
+    its Task is built, and every rejection names the entry as `tasks[i]`.
+    """
+    if not isinstance(entries, tuple):
+        raise ScenarioError(f"tasks must be a list, got {entries!r}")
+    echo, pool = [], {}
+    for i, entry in enumerate(entries):
+        name = f"tasks[{i}]"
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and isinstance(entry[1], (list, tuple))
+                and all(isinstance(part, (list, tuple)) and len(part) == 2 for part in entry[1])):
+            raise ScenarioError(f"{name} must be [id, [[characteristic, weight], ...]], got {entry!r}")
+        task_id, parts = entry
+        _check_field(f"{name} id", task_id, int, None)
+        for c, w in parts:
+            _check_field(f"{name} characteristic", c, int, None)
+            _check_field(f"{name} weight", w, float, None)
+        if task_id in pool:
+            raise ScenarioError(f"{name} repeats task id {task_id}")
+        parts = tuple((c, float(w)) for c, w in parts)
+        try:
+            pool[task_id] = make_task(task_id, parts)
+        except ValueError as exc:
+            raise ScenarioError(f"{name}: {exc}") from exc
+        echo.append((task_id, parts))
+    return tuple(echo), tuple(pool[task_id] for task_id in sorted(pool))
+
+
 class Scenario:
     """Tunable parameters for the five experiments, JSON-compatible.
 
     The fields, their defaults and their rules are the rows of
     `_SCENARIO_FIELDS`. Defaults reproduce the reference setups at desk
-    scale; the CLI and scenario files may override any field.
+    scale; the CLI and scenario files may override any field. `task_pool`
+    holds the explicit tasks, parsed once, as Tasks sorted by id.
     """
 
     def __init__(self, **given):
@@ -405,7 +436,8 @@ class Scenario:
                 raise ScenarioError(f"{name} must not be empty")
             for i, entry in enumerate(value):
                 _check_field(f"{name}[{i}]", entry, kind, allowed)
-        if self.char_counts is None and not self.tasks:
+        self.tasks, self.task_pool = _parse_tasks(self.tasks)
+        if self.char_counts is None and not self.task_pool:
             self.char_counts = (4, 5, 6, 7)
         for name, key in _DISTINCT_KEYS.items():
             keys = [key(v) for v in getattr(self, name) or ()]
@@ -414,32 +446,11 @@ class Scenario:
                     raise ScenarioError(f"{name}[{i}] repeats {k}")
         if len(self.initial_estimates) != 4:
             raise ScenarioError("initial_estimates needs exactly four values")
-        try:
-            self.tasks = tuple(
-                (int(tid), tuple((int(c), float(w)) for c, w in parts))
-                for tid, parts in self.tasks
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad task definitions: {exc}") from exc
-        self.task_objects()
         # explicit tasks are one grid point, so a given grid would be ignored
-        if self.tasks and self.char_counts is not None:
+        if self.task_pool and self.char_counts is not None:
             raise ScenarioError("char_counts cannot be combined with explicit tasks")
         # the set fields, which `replace` carries over
         self._given = frozenset(given)
-
-    def task_objects(self) -> dict[int, Task]:
-        """Validated Task objects for the explicit definitions, by id."""
-        out: dict[int, Task] = {}
-        for task_id, parts in self.tasks:
-            try:
-                task = make_task(task_id, list(parts))
-            except ValueError as exc:
-                raise ScenarioError(f"bad task definition {task_id}: {exc}") from exc
-            if task.id in out:
-                raise ScenarioError(f"duplicate task id {task.id}")
-            out[task.id] = task
-        return out
 
     def to_dict(self) -> dict:
         out = {}

@@ -106,8 +106,8 @@ def char_grid(scenario: Scenario) -> tuple[int, ...]:
 
     An explicit task pool is a single grid point, labelled by its alphabet size.
     """
-    if scenario.tasks:
-        return (len({c for _, parts in scenario.tasks for c, _ in parts}),)
+    if scenario.task_pool:
+        return (len({c for task in scenario.task_pool for c in task.char_ids}),)
     return scenario.char_counts
 
 
@@ -215,8 +215,7 @@ def _mutuality_unit(args):
     rng_state = random.Random(derive_seed(master, "mutuality-state", run_idx))
     roles = sample_roles(graph, sc.role_fraction, rng_state, sc.disjoint_roles)
     trustee_set = set(roles.trustees)
-    explicit = sc.task_objects()
-    task = explicit[min(explicit)] if explicit else make_task(0, [(0, 1.0)])
+    task = sc.task_pool[0] if sc.task_pool else make_task(0, [(0, 1.0)])
     tasks = {task.id: task}
 
     integrity = {x: rng_state.random() for x in roles.trustors}
@@ -439,13 +438,8 @@ def _experienced_tasks(node: int, pool: Sequence[Task], features, per_node: int,
 def _transitivity_unit(args):
     graph, sc, char_count, run_idx, master = args
     rng = random.Random(derive_seed(master, "transitivity-state", char_count, run_idx))
-    explicit = sc.task_objects()
-    if explicit:
-        pool = [explicit[tid] for tid in sorted(explicit)]
-        char_ids = sorted({c for t in pool for c in t.char_ids})
-    else:
-        pool = _char_pool(char_count)
-        char_ids = list(range(char_count))
+    pool = list(sc.task_pool) or _char_pool(char_count)
+    char_ids = sorted({c for t in pool for c in t.char_ids})
     tasks = {t.id: t for t in pool}
     roles = sample_roles(graph, sc.role_fraction, rng, sc.disjoint_roles)
     trustee_set = set(roles.trustees)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import deque
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -155,69 +154,63 @@ def load_features(source: str, graph: SocialGraph) -> SocialGraph:
     return SocialGraph(adjacency=graph.adjacency, original_ids=graph.original_ids, features=features)
 
 
-def connected_components(graph: SocialGraph) -> list[list[int]]:
-    """Components as sorted node lists, largest first (ties by smallest node)."""
-    seen = [False] * graph.node_count
-    components = []
-    for start in graph.nodes():
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nbr in graph.neighbors(node):
-                if not seen[nbr]:
-                    seen[nbr] = True
-                    comp.append(nbr)
-                    queue.append(nbr)
-        comp.sort()
-        components.append(comp)
-    components.sort(key=lambda c: (-len(c), c[0]))
-    return components
+def _flood(masks: list[int], source: int, whole: int) -> tuple[int, int, int]:
+    """Bitset BFS from `source`, one level at a time.
+
+    The next frontier is the OR of the frontier's masks minus the nodes
+    already reached. Stops once `whole` is reached, or when a level adds no
+    node (with `whole` 0, that is the source's component). Returns the
+    reached mask, the sum of the distances to its nodes, and the last level.
+    """
+    seen = frontier = 1 << source
+    total = level = 0
+    while seen != whole:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            break
+        level += 1
+        seen |= frontier
+        total += level * frontier.bit_count()
+    return seen, total, level
 
 
 def compute_stats(graph: SocialGraph) -> GraphStats:
     """Connectivity statistics: bitset BFS all-pairs paths, local clustering average.
 
-    Diameter and average path length are measured on the largest connected
-    component; the component count flags disconnected inputs. Each node's
-    adjacency is an int bitmask. The BFS from each source in the component
-    expands one level at a time, until it has reached the whole component:
-    the next frontier is the OR of the frontier's masks minus the nodes
-    already reached, and each level adds `level * popcount` to the total
-    distance. Clustering averages over all nodes, with degree < 2 nodes
-    contributing zero; the links among a node's neighbours are the popcounts
-    of their masks ANDed with the node's mask, each link counted twice.
-    The graph has a node, as every graph `load_edge_list` builds does.
+    Each node's adjacency is an int bitmask, and one traversal, `_flood`,
+    finds both the components and the distances. Each component is flooded
+    from its lowest node not yet reached; the first largest is kept, and
+    its diameter and average path length are measured from every one of its
+    nodes, the flood's own source included. The component count flags
+    disconnected inputs. Clustering averages over all nodes, with degree < 2
+    nodes contributing zero; the links among a node's neighbours are the
+    popcounts of their masks ANDed with the node's mask, each link counted
+    twice. The graph has a node, as every graph `load_edge_list` builds does.
     """
     n = graph.node_count
-    comps = connected_components(graph)
-    largest = comps[0]
-
-    diameter = 0
-    total_dist = 0
     masks = [sum(1 << nbr for nbr in nbrs) for nbrs in graph.adjacency]
-    everyone = 0
-    for node in largest:
-        everyone |= 1 << node
-    for source in largest:
-        seen = frontier = 1 << source
-        level = 0
-        while seen != everyone:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= masks[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            level += 1
-            seen |= frontier
-            total_dist += level * frontier.bit_count()
-        diameter = max(diameter, level)
+    unseen = (1 << n) - 1
+    components = largest = 0
+    while unseen:
+        source = (unseen & -unseen).bit_length() - 1
+        comp, total, level = _flood(masks, source, 0)
+        unseen ^= comp
+        components += 1
+        if comp.bit_count() > largest.bit_count():
+            largest, lowest, total_dist, diameter = comp, source, total, level
+    for source in range(lowest + 1, n):
+        if largest >> source & 1:
+            _, total, level = _flood(masks, source, largest)
+            total_dist += total
+            diameter = max(diameter, level)
     # every source in the component reaches every other node in it
-    pair_count = len(largest) * (len(largest) - 1)
+    size = largest.bit_count()
+    pair_count = size * (size - 1)
     avg_path = total_dist / pair_count if pair_count else 0.0
 
     clustering_sum = 0.0
@@ -236,7 +229,7 @@ def compute_stats(graph: SocialGraph) -> GraphStats:
         diameter=diameter,
         avg_path_length=avg_path,
         avg_clustering=clustering_sum / n,
-        components=len(comps),
+        components=components,
     )
 
 

@@ -153,7 +153,14 @@ class TestUsageErrors:
         ({"char_counts": [2.5]}, "char_counts"),
         ({"max_hops": "3"}, "max_hops"),
         ({"beta": None}, "beta"),
-    ], ids=["char_counts-float-entry", "max_hops-string", "beta-null"])
+        ({"tasks": [[0.7, [[1.9, 1]]], ["3", [["0", True], [2, "0.5"]]]]}, "tasks[0] id"),
+        ({"tasks": [[1, [[0, 1.0]]], ["3", [[0, 1.0]]]]}, "tasks[1] id"),
+        ({"tasks": [[1, [["0", 1.0]]]]}, "tasks[0] characteristic"),
+        ({"tasks": [[1, [[0, False]]]]}, "tasks[0] weight"),
+        ({"tasks": [[1, [[0, 1.0]]], [2, [[0, 1.0, 2.0]]]]}, "tasks[1] must be [id, "),
+    ], ids=["char_counts-float-entry", "max_hops-string", "beta-null", "tasks-float-id",
+            "tasks-string-id", "tasks-string-characteristic", "tasks-bool-weight",
+            "tasks-three-element-part"])
     def test_wrong_type_rejected_naming_field(self, capsys, tmp_path, scenario, field):
         graph = tmp_path / "path4.edges"
         graph.write_text("0 1\n1 2\n2 3\n")
@@ -505,6 +512,10 @@ class TestPlots:
 class TestBytePins:
     """Discovery, protocol and aggregation changes must keep these outputs byte for byte."""
 
+    # task ids out of order, an integer weight, and characteristics 0 and 2
+    # each shared by two tasks; read as `--scenario tasks.json`
+    EXPLICIT_TASKS = {"tasks": [[4, [[2, 1.0]]], [1, [[0, 2], [2, 1.0]]], [3, [[1, 0.5], [0, 1.5]]]]}
+
     PINS = {
         "mutuality": (
             ["mutuality", "--runs", "1", "--theta", "0.3", "--trace"],
@@ -532,6 +543,34 @@ class TestBytePins:
                     "0e656ce98d956b0cb6a766f32128475b40838857d5c0eadc838078b3bf03d813",
                 "summary.json":
                     "8617a5b0b18dd318906147730211c8aa751bfef6f1ef0e123171fc18007e1cff",
+            },
+        ),
+        "mutuality-tasks": (
+            ["mutuality", "--runs", "1", "--theta", "0.3", "--trace", "--scenario", "tasks.json"],
+            {
+                "metrics_mutuality.csv":
+                    "80c23d16b92e4dd55bf72afef4878266d2a26ec268c05ab015b6b81388ce5807",
+                "trace_mutuality.ndjson":
+                    "7d7edd075cf940bf1a7a7fc0a22384255f25c6d7f2700c3aa5ce5b739524efd0",
+                "plot_mutuality.svg":
+                    "81efef217de4e224f95ac666a3fde628d8e720d980704c3f3b9bfcead39fa36e",
+                "summary.json":
+                    "caa469ae7abbefd21db58afd66181ae471ab2022bea52eb3bd8f7e7de36dec12",
+            },
+        ),
+        "transitivity-tasks": (
+            ["transitivity", "--runs", "1", "--scenario", "tasks.json"],
+            {
+                "metrics_transitivity.csv":
+                    "73628acaafa6fd1e5a6e8af451b0ac3fe0e9ffe5b485ed90261da69b8a25cca5",
+                "plot_transitivity.svg":
+                    "e9484a3657da129de3952ec2aefd6dcc8bb84c604899006c9080a5cf54e26c6f",
+                "plot_transitivity_unavailable.svg":
+                    "9c4a06e1e0daf79f1b3cab20a5855dde097719707f90306bbd436970b2f3a2f6",
+                "plot_transitivity_overhead.svg":
+                    "f531d4330c992d7f725af1cc4440e9b0fa96e3e25a9435964d96e3aee5912e70",
+                "summary.json":
+                    "43fabb67e44be11a990b0ca04a261d2fade93955039f3c5c61b2c7f81a8bb272",
             },
         ),
         "inference": (
@@ -573,8 +612,10 @@ class TestBytePins:
     }
 
     @pytest.mark.parametrize("name", sorted(PINS))
-    def test_outputs_match_pinned_sha256(self, capsys, tmp_path, name):
+    def test_outputs_match_pinned_sha256(self, capsys, tmp_path, monkeypatch, name):
         argv, pins = self.PINS[name]
+        (tmp_path / "tasks.json").write_text(json.dumps(self.EXPLICIT_TASKS))
+        monkeypatch.chdir(tmp_path)
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(capsys, *argv, "--graph", "facebook-like", "--seed", "1",
                              "--jobs", "1", "--out", str(out_dir))

@@ -415,9 +415,16 @@ class TestScenario:
         ({"env_noise": math.inf}, "env_noise must be a number"),
         ({"cost_multiplier": math.inf}, "cost_multiplier must be a number"),
         ({"theta_grid": [math.nan]}, r"theta_grid\[0\] must be a number"),
+        ({"tasks": [[0, [[0, 1.0]]], [0.7, [[1, 1.0]]]]}, r"tasks\[1\] id must be an integer"),
+        ({"tasks": [["3", [[0, 1.0]]]]}, r"tasks\[0\] id must be an integer"),
+        ({"tasks": [[0, [[1, 1.0], ["0", 1.0]]]]}, r"tasks\[0\] characteristic must be an integer"),
+        ({"tasks": [[0, [[0, True]]]]}, r"tasks\[0\] weight must be a number"),
+        ({"tasks": [[0, [[0, 1.0]]], [1, [[0, 1.0, 2.0]]]]}, r"tasks\[1\] must be \[id, "),
     ], ids=["char_counts-float-entry", "max_hops-string", "beta-null", "role_fraction-string",
             "theta_grid-string-entry", "use_features-int", "preseed_uses-bool", "env_values-scalar",
-            "env_noise-infinite", "cost_multiplier-infinite", "theta_grid-nan-entry"])
+            "env_noise-infinite", "cost_multiplier-infinite", "theta_grid-nan-entry",
+            "tasks-float-id", "tasks-string-id", "tasks-string-characteristic", "tasks-bool-weight",
+            "tasks-three-element-part"])
     def test_wrong_type_names_field(self, data, message):
         with pytest.raises(ScenarioError, match=message):
             Scenario(**data)
@@ -464,18 +471,23 @@ class TestScenario:
             "tasks": [[0, [[0, 1.0]]], [1, [[0, 1.0], [1, 3.0]]]],
         }))
         sc = load_scenario(p)
-        objs = sc.task_objects()
-        assert set(objs) == {0, 1}
-        assert objs[1].parts == ((0, 0.25), (1, 0.75))
+        assert [task.id for task in sc.task_pool] == [0, 1]
+        assert sc.task_pool[1].parts == ((0, 0.25), (1, 0.75))
         assert sc.characteristics == ("gps", "image")
+        # the pool is sorted by id; the echo keeps the given order, weights as floats
+        sc = Scenario(tasks=[[5, [[1, 2]]], [2, [[0, 1.0]]]])
+        assert [task.id for task in sc.task_pool] == [2, 5]
+        assert sc.tasks == ((5, ((1, 2.0),)), (2, ((0, 1.0),)))
 
     def test_bad_task_definitions_rejected(self):
         # explicit tasks are one grid point: a given grid is refused, the default one too
         with pytest.raises(ScenarioError, match="char_counts cannot be combined"):
             Scenario(tasks=((0, ((0, 1.0),)),), char_counts=(4, 5, 6, 7))
-        with pytest.raises(ScenarioError, match="duplicate task id"):
+        with pytest.raises(ScenarioError, match=r"tasks\[1\] repeats task id 0"):
             Scenario(tasks=((0, ((0, 1.0),)), (0, ((1, 1.0),))))
-        with pytest.raises(ScenarioError, match="bad task definition"):
+        with pytest.raises(ScenarioError, match=r"tasks\[0\]: task needs at least one"):
             Scenario(tasks=((0, ()),))
-        with pytest.raises(ScenarioError, match="bad task definitions"):
+        with pytest.raises(ScenarioError, match=r"tasks\[0\] must be \[id, "):
             Scenario(tasks=(("x", "y", "z"),))
+        with pytest.raises(ScenarioError, match="tasks must be a list"):
+            Scenario(tasks=5)

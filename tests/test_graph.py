@@ -10,7 +10,6 @@ from siotrust.graph import (
     STATS_HEADER,
     build_graph,
     compute_stats,
-    connected_components,
     load_edge_list,
     load_features,
     sample_roles,
@@ -30,6 +29,10 @@ def small_graphs():
         make_graph(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]),  # several components
         # a 4-cycle is the largest component; the triangle 5-6-7 lies outside it
         make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 5)]),
+        # two largest components with interleaved nodes, a path and a triangle:
+        # the one holding node 0 is measured
+        make_graph(6, [(0, 3), (3, 5), (1, 2), (2, 4), (4, 1)]),
+        make_graph(6, [(1, 3), (3, 5), (0, 2), (2, 4), (4, 0)]),
     ]
     for _ in range(25):
         n = rng.randint(2, 8)
@@ -179,24 +182,24 @@ class TestComputeStats:
         assert st_.diameter == 2
         assert abs(st_.avg_path_length - 4.0 / 3.0) < 1e-12
 
-    def test_component_listing(self):
-        g = make_graph(5, [(0, 1), (1, 2), (3, 4)])
-        comps = connected_components(g)
-        assert comps == [[0, 1, 2], [3, 4]]
-
     def test_floyd_warshall_oracle_small_graphs(self):
         for g in small_graphs():
             st_ = compute_stats(g)
-            comp = connected_components(g)[0]
+            nodes = list(g.nodes())
             inf = float("inf")
             dist = {(u, v): (0 if u == v else (1 if g.has_edge(u, v) else inf))
-                    for u in comp for v in comp}
-            for k in comp:
-                for i in comp:
-                    for j in comp:
+                    for u in nodes for v in nodes}
+            for k in nodes:
+                for i in nodes:
+                    for j in nodes:
                         through = dist[(i, k)] + dist[(k, j)]
                         if through < dist[(i, j)]:
                             dist[(i, j)] = through
+            # a component is the set of nodes at a finite distance; measured on
+            # the largest, ties going to the one with the smallest node
+            comps = {frozenset(v for v in nodes if dist[(u, v)] < inf) for u in nodes}
+            assert st_.components == len(comps)
+            comp = sorted(min(comps, key=lambda c: (-len(c), min(c))))
             pairs = [dist[(u, v)] for u in comp for v in comp if u != v]
             if pairs:
                 assert st_.diameter == max(pairs)

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import siotrust
 from siotrust.cli import main
+from siotrust.delegation import _PAIR_TEXT
 
 PACKAGE = Path(siotrust.__file__).parent
 
@@ -153,7 +154,10 @@ BAD_SCENARIOS = [
     {"theta_grid": []},
     {"theta_grid": [0.5, 0.5]},
     {"initial_estimates": [0.5]},
+    {"tasks": 5},  # not a list
+    {"tasks": [[0]]},  # an entry of the wrong shape
     {"tasks": [["x", []]]},
+    {"tasks": [[0, [[0, "0.5"]]]]},  # a string weight
     {"tasks": [[0, []]]},  # this and the next five: each `make_task` rejection
     {"tasks": [[0, [[-1, 1.0]]]]},
     {"tasks": [[0, [[0, 0.0]]]]},
@@ -285,6 +289,9 @@ def run_traced(calls) -> tuple:
     def on_call(frame, event, arg):
         return on_line if frame.f_code.co_filename.startswith(package) else None
 
+    # start from an empty trace memo, as a new process does: the entries an
+    # earlier run in this process left would keep its fill path from running
+    _PAIR_TEXT.clear()
     codes = []
     previous = sys.gettrace()
     sys.settrace(on_call)
