@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .domain import (  # noqa: F401
     AgentProfile,
     DelegationOutcome,
-    Environment,
     Scenario,
     Task,
     TrustRecord,

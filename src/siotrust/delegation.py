@@ -23,7 +23,6 @@ from .domain import (
     SERVICE,
     AgentProfile,
     DelegationOutcome,
-    Environment,
     Task,
     TrustRecord,
     TrustStore,
@@ -67,13 +66,14 @@ class DiscoveryResult(NamedTuple):
         return len(self.interrogated)
 
 
-class _PairText(dict):
+class PairText(dict):
     """Memo of the `[node,value]` JSON text of a ranked or rejection pair.
 
     It is keyed by a (node, trust) tuple, and the value is `round(t, 9)` as
     `to_dict` writes it. The trust values are in [0, 1] and never -0.0, so
-    equal keys give equal text. It is a pure cache, shared by the process
-    and cleared past 4,096 entries.
+    equal keys give equal text. It is a pure cache: the mutuality unit
+    creates one, passes it to each `to_line` and drops it when it ends, so
+    it is never cleared and no run shares another's.
     """
 
     def __missing__(self, pair: tuple[int, float]) -> str:
@@ -81,7 +81,6 @@ class _PairText(dict):
         return text
 
 
-_PAIR_TEXT = _PairText()
 _JSON_BOOL = {True: "true", False: "false"}
 
 
@@ -124,19 +123,16 @@ class DelegationTrace(NamedTuple):
             }
         return out
 
-    def to_line(self) -> str:
+    def to_line(self, text: PairText) -> str:
         """The trace log's NDJSON line: `to_dict` as canonical JSON, written in one pass.
 
         Keys are sorted and there are no spaces. The floats are finite, since
         records and outcomes are validated to [0, 1], and for a finite float
         `repr` is what `json` writes. Each ranked candidate and rejection
-        takes its text from the `_PAIR_TEXT` memo, keyed by its (node, trust)
+        takes its text from the `text` memo, keyed by its (node, trust)
         pair; the outcome floats are not rounded and are written with a plain
         `repr`, never memoized, so that `-0.0` keeps its sign.
         """
-        text = _PAIR_TEXT
-        if len(text) > 4096:
-            text.clear()
         ranked = ",".join(map(text.__getitem__, map(_NODE_TRUST, self.ranked_candidates)))
         rejections = ",".join(map(text.__getitem__, self.rejections))
         chosen = '"unavailable"' if self.chosen is None else self.chosen
@@ -540,22 +536,19 @@ def sample_outcome(
     trustor: AgentProfile,
     trustee: AgentProfile,
     task: Task,
-    env: Environment,
     intermediates: Sequence[int],
     rng,
 ) -> DelegationOutcome:
     """Realize one delegation against hidden ground truth.
 
-    Success is Bernoulli in the trustee's competence scaled by the worst
-    environment in the outcome's snapshot (trustor, trustee, then the
-    intermediates). The realization is split in two: `draw_delegation`
-    makes the draws and `make_outcome` builds the outcome they select.
+    Success is Bernoulli in the trustee's task competence. The protocol
+    runs in the ideal environment, so the outcome's snapshot is 1.0 for the
+    trustor, the trustee and each intermediate. The realization is split in
+    two: `draw_delegation` makes the draws and `make_outcome` builds the
+    outcome they select.
     """
-    snapshot = (env.at(trustor.node), env.at(trustee.node))
-    if intermediates:
-        snapshot += tuple(env.at(i) for i in intermediates)
-    success, abusive = draw_delegation(trustee.task_competence(task) * min(snapshot),
-                                       trustor.integrity, rng)
+    snapshot = (1.0,) * (2 + len(intermediates))
+    success, abusive = draw_delegation(trustee.task_competence(task), trustor.integrity, rng)
     return make_outcome(trustee, snapshot, success, abusive)
 
 
@@ -595,7 +588,6 @@ def rank_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
 def run_delegation(
     evaluator: PathEvaluator,
     usage_log: UsageLog,
-    env: Environment,
     request: DelegationRequest,
     rng,
 ) -> DelegationTrace:
@@ -637,7 +629,7 @@ def run_delegation(
         intermediates = sorted({node for path in relayed for node in path[1:-1]})
         rec_pairs = {(path[i], path[i + 1]) for path in relayed for i in range(len(path) - 2)}
         writes += [(observer, subject, RECOMMENDATION) for observer, subject in sorted(rec_pairs)]
-    outcome = sample_outcome(profiles[trustor], profiles[chosen.node], task, env, intermediates, rng)
+    outcome = sample_outcome(profiles[trustor], profiles[chosen.node], task, intermediates, rng)
     usage_log.record(chosen.node, trustor, responsive=not outcome.abusive)
 
     for observer, subject, kind in writes:

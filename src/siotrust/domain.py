@@ -1,4 +1,4 @@
-"""Core vocabulary shared by all modules: tasks, trust records, agents, environments.
+"""Core vocabulary shared by all modules: tasks, trust records, agents, outcomes.
 
 Types here are plain values. Behavioural rules (evaluation, updates,
 transitivity, the delegation protocol) live in `trust_engine` and
@@ -230,32 +230,6 @@ class UsageLog:
         return (entry[0], entry[1])
 
 
-class _EnvironmentFields(NamedTuple):
-    values: Mapping[int, float] = {}  # shared by the environments that omit it, never mutated
-    default: float = 1.0
-
-
-class Environment(_EnvironmentFields):
-    """Instantaneous per-node environment; 1 means ideal, values stay in (0, 1].
-
-    An immutable tuple, validated in `__new__` as `TrustRecord` is.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = _EnvironmentFields.__new__(cls, *args, **kwargs)
-        if not 0.0 < self.default <= 1.0:
-            raise ValueError(f"environment default must be in (0, 1], got {self.default}")
-        for node, v in self.values.items():
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"environment value for node {node} must be in (0, 1], got {v}")
-        return self
-
-    def at(self, node: int) -> float:
-        return self.values.get(node, self.default)
-
-
 _OutcomeFields = NamedTuple("_OutcomeFields", [("success", bool), ("gain", float), ("damage", float),
                                                ("cost", float), ("abusive", bool),
                                                ("env_snapshot", tuple[float, ...])])
@@ -265,8 +239,10 @@ class DelegationOutcome(_OutcomeFields):
     """Realized result of one delegation.
 
     Success zeroes damage, failure zeroes gain, cost applies either way.
-    `env_snapshot` carries the environment values under which the
-    delegation ran: (trustor E, trustee E, then each intermediate's E).
+    `env_snapshot` holds one environment value in (0, 1] per party:
+    trustor, trustee, then each intermediate. The protocol runs in the
+    ideal environment and writes 1.0 for each; `update_estimates_env`
+    corrects by the snapshot's minimum.
     An immutable tuple, validated in `__new__` as `TrustRecord` is.
     """
 
@@ -296,7 +272,7 @@ class DelegationOutcome(_OutcomeFields):
 
 # the inherited `_make` and `_replace` build the tuple without `__new__`, so
 # skip its range test: the validated types do not have them
-for _fields in (_RecordFields, _ProfileFields, _EnvironmentFields, _OutcomeFields):
+for _fields in (_RecordFields, _ProfileFields, _OutcomeFields):
     del _fields._make, _fields._replace
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}

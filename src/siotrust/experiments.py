@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import trust_engine as eng
 from .delegation import (
     DelegationRequest,
+    PairText,
     PathEvaluator,
     draw_delegation,
     find_potential_trustees,
@@ -32,7 +33,6 @@ from .domain import (
     RECOMMENDATION,
     SERVICE,
     AgentProfile,
-    Environment,
     Scenario,
     ScenarioError,
     Task,
@@ -247,13 +247,13 @@ def _mutuality_unit(args):
             default_threshold=theta,
         )
 
-    env = Environment()
     params = eng.TransitivityParams(omega1=0.0, omega2=0.0, max_hops=1, method=eng.TRADITIONAL)
     rng_play = random.Random(derive_seed(master, "mutuality-play", run_idx, f"{theta:.6g}"))
     evaluator = PathEvaluator(graph, profiles, store, tasks)
 
     requests = successes = unavailable = uses = abusive = 0
     traces = []
+    text = PairText()
     round_requests = [
         DelegationRequest(trustor=x, task=task, transitivity=params, beta=sc.beta,
                           initial_estimates=sc.initial_estimates)
@@ -261,7 +261,7 @@ def _mutuality_unit(args):
     ]
     for _ in range(sc.mutuality_rounds):
         for request in round_requests:
-            trace = run_delegation(evaluator, usage, env, request, rng_play)
+            trace = run_delegation(evaluator, usage, request, rng_play)
             requests += 1
             if trace.chosen is None:
                 unavailable += 1
@@ -272,7 +272,7 @@ def _mutuality_unit(args):
                 if trace.outcome.abusive:
                     abusive += 1
             if want_traces:
-                traces.append(trace.to_line())
+                traces.append(trace.to_line(text))
 
     metrics = {
         "success_rate": successes / requests,
@@ -551,7 +551,6 @@ def _profit_unit(args):
     sc, variant, run_idx, master = args
     rng = random.Random(derive_seed(master, "profit-truth", variant, run_idx))
     task = make_task(0, [(0, 1.0)])
-    env = Environment()
     iterations = sc.attack_tasks if variant == VARIANT_ATTACK else sc.profit_iterations
 
     count = sc.profit_candidates
@@ -578,15 +577,14 @@ def _profit_unit(args):
         )
     trustor = AgentProfile(node=count, integrity=1.0)
     beta = sc.beta
-    # `sample_outcome` split in two: the environment is fixed, so each
-    # candidate's success probability and its four `make_outcome` outcomes,
+    # `sample_outcome` split in two: a candidate's success probability never
+    # changes, so it and the candidate's four `make_outcome` outcomes,
     # [success][abusive], each with its series value, are built once
     net = variant == VARIANT_RANDOM
     tables = []
     for i in range(count):
-        snapshot = (env.at(trustor.node), env.at(i))
-        rows = [[make_outcome(profiles[i], snapshot, s, a) for a in (False, True)] for s in (False, True)]
-        tables.append((profiles[i].task_competence(task) * min(snapshot),
+        rows = [[make_outcome(profiles[i], (1.0, 1.0), s, a) for a in (False, True)] for s in (False, True)]
+        tables.append((profiles[i].task_competence(task),
                        [[(o, o.gain - o.damage - o.cost if net else o.cost) for o in row] for row in rows]))
     integrity = trustor.integrity
     select, update_estimates, score = eng.select_trustee, eng.update_estimates, eng.strategy_score

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import siotrust.delegation as delegation
 import siotrust.trust_engine as eng
 from siotrust.delegation import (
     Candidate,
     DelegationRequest,
     DelegationTrace,
+    PairText,
     PathEvaluator,
     find_potential_trustees,
     rank_candidates,
@@ -28,7 +28,6 @@ from siotrust.domain import (
     SERVICE,
     AgentProfile,
     DelegationOutcome,
-    Environment,
     TrustRecord,
     TrustStore,
     UsageLog,
@@ -168,13 +167,12 @@ class TestRanking:
 
 class TestSampleOutcome:
     def test_effective_probability_scales_with_environment(self):
-        # competence 0.8 times the worst environment 0.4 gives 0.32
+        # the protocol's environment is ideal, so the task competence is the threshold
         trustor = AgentProfile(node=0, integrity=1.0)
-        trustee = AgentProfile(node=1, is_trustee=True, competence={0: 0.8})
+        trustee = AgentProfile(node=1, is_trustee=True, competence={0: 0.32})
         task = make_task(0, [(0, 1.0)])
-        env = Environment(values={0: 0.4, 1: 0.4})
         for draw, success in ((0.3199, True), (0.3201, False)):
-            outcome = sample_outcome(trustor, trustee, task, env, (), StubRng(draw))
+            outcome = sample_outcome(trustor, trustee, task, (), StubRng(draw))
             assert outcome.success is success
 
     def test_perfect_competence_ideal_env_always_succeeds(self):
@@ -183,7 +181,7 @@ class TestSampleOutcome:
         task = make_task(0, [(0, 1.0)])
         rng = random.Random(0)
         for _ in range(64):
-            outcome = sample_outcome(trustor, trustee, task, Environment(), (), rng)
+            outcome = sample_outcome(trustor, trustee, task, (), rng)
             assert outcome.success
 
     def test_cost_inflation_attack(self):
@@ -191,7 +189,7 @@ class TestSampleOutcome:
         trustee = AgentProfile(node=1, is_trustee=True, competence={0: 1.0},
                                cost=0.2, honest=False, cost_multiplier=3.0)
         task = make_task(0, [(0, 1.0)])
-        outcome = sample_outcome(trustor, trustee, task, Environment(), (), random.Random(0))
+        outcome = sample_outcome(trustor, trustee, task, (), random.Random(0))
         assert abs(outcome.cost - 0.6) < 1e-12
 
     def test_honest_trustee_ignores_multiplier(self):
@@ -199,16 +197,15 @@ class TestSampleOutcome:
         trustee = AgentProfile(node=1, is_trustee=True, competence={0: 1.0},
                                cost=0.2, honest=True, cost_multiplier=3.0)
         task = make_task(0, [(0, 1.0)])
-        outcome = sample_outcome(trustor, trustee, task, Environment(), (), random.Random(0))
+        outcome = sample_outcome(trustor, trustee, task, (), random.Random(0))
         assert outcome.cost == 0.2
 
     def test_env_snapshot_records_path(self):
         trustor = AgentProfile(node=0)
         trustee = AgentProfile(node=3, is_trustee=True, competence={0: 1.0})
-        env = Environment(values={0: 1.0, 3: 0.9, 7: 0.5})
         task = make_task(0, [(0, 1.0)])
-        outcome = sample_outcome(trustor, trustee, task, env, (7,), random.Random(1))
-        assert outcome.env_snapshot == (1.0, 0.9, 0.5)
+        outcome = sample_outcome(trustor, trustee, task, (7,), random.Random(1))
+        assert outcome.env_snapshot == (1.0, 1.0, 1.0)
 
     def test_binomial_convergence(self):
         trustor = AgentProfile(node=0, integrity=1.0)
@@ -217,7 +214,7 @@ class TestSampleOutcome:
         rng = random.Random(42)
         n = 2000
         hits = sum(
-            sample_outcome(trustor, trustee, task, Environment(), (), rng).success
+            sample_outcome(trustor, trustee, task, (), rng).success
             for _ in range(n)
         )
         sigma = math.sqrt(0.7 * 0.3 / n)
@@ -228,7 +225,7 @@ class TestRunDelegation:
     def run_one(self, theta=0.0, seed=1, usage=None, trustee_count=3):
         graph, store, profiles, task, tasks = star_world(theta=theta, trustee_count=trustee_count)
         usage = usage if usage is not None else UsageLog()
-        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage, Environment(),
+        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage,
                                request_for(task), random.Random(seed))
         return trace, store, usage
 
@@ -244,7 +241,7 @@ class TestRunDelegation:
         usage = UsageLog()
         usage.seed(1, 0, 0, 8)  # first-ranked trustee has seen only abuse
         graph, store, profiles, task, tasks = star_world(theta=0.3)
-        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage, Environment(),
+        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage,
                                request_for(task), random.Random(1))
         assert trace.rejections and trace.rejections[0][0] == 1
         assert trace.chosen == 2
@@ -268,7 +265,7 @@ class TestRunDelegation:
         graph, store, profiles, task, tasks = star_world()
         profiles[0] = AgentProfile(node=0, integrity=0.0, competence={0: 1.0})
         usage = UsageLog()
-        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage, Environment(),
+        trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), usage,
                                request_for(task), random.Random(1))
         assert trace.outcome.abusive
         assert usage.counts(trace.chosen, 0) == (0, 1)
@@ -287,28 +284,17 @@ class TestRunDelegation:
         }
         req = request_for(task, method="conservative", max_hops=2, omega=0.0)
         trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), UsageLog(),
-                               Environment(), req, random.Random(3))
+                               req, random.Random(3))
         assert trace.chosen == 2
         rec = store.get(0, 1, 0, RECOMMENDATION)
         assert rec.interaction_count == 2
         svc = store.get(0, 2, 0, SERVICE)
         assert svc is not None and svc.interaction_count == 1
-
-    def test_environment_scales_success_probability(self):
-        graph, store, profiles, task, tasks = star_world(trustee_count=1)
-        env = Environment(default=0.25)
-        # competence is 1.0, so the environment alone sets the success probability
-        req = request_for(task, beta=0.0)
-        hits = 0
-        rng = random.Random(11)
-        for _ in range(400):
-            fresh = TrustStore()
-            fresh.put(0, 1, 0, SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
-            trace = run_delegation(PathEvaluator(graph, profiles, fresh, tasks), UsageLog(), env,
-                                   req, rng)
-            hits += trace.outcome.success
-            assert trace.outcome.env_snapshot == (0.25, 0.25)
-        assert abs(hits / 400 - 0.25) < 3 * math.sqrt(0.25 * 0.75 / 400)
+        # one relay: a snapshot entry per party, and a trace line with three env values
+        assert trace.outcome.env_snapshot == (1.0, 1.0, 1.0)
+        line = trace.to_line(PairText())
+        assert line == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert '"env":[1.0,1.0,1.0]' in line
 
 
 def assert_memos_fresh(ev):
@@ -373,8 +359,7 @@ class TestEvaluatorCoherence:
                            for kind in (RECOMMENDATION, SERVICE))
         assert row_before == ((), ())
         for step, method in enumerate(("conservative", "traditional", "aggressive", "conservative")):
-            trace = run_delegation(ev, usage, Environment(),
-                                   request_for(target, method=method, max_hops=3), rng)
+            trace = run_delegation(ev, usage, request_for(target, method=method, max_hops=3), rng)
             assert trace.chosen == 2
             if step == 0:
                 # structural: the delegation created 0's records about 1 and 2
@@ -413,7 +398,7 @@ class TestEvaluatorCoherence:
                 for m in self.METHODS:
                     find_potential_trustees(ev, request_for(task, method=m))
             inferred = ev.hop_tw(0, 1, SERVICE, tasks[2])
-            trace = run_delegation(ev, usage, Environment(), request_for(target), rng)
+            trace = run_delegation(ev, usage, request_for(target), rng)
             assert trace.chosen == 1
             assert ev.hop_tw(0, 1, SERVICE, tasks[2]) != inferred, step
         assert ev.writes == 4
@@ -519,7 +504,7 @@ class TestEvaluatorCoherence:
                 omega1, omega2 = rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6)
                 params = eng.TransitivityParams(omega1, omega2, rng.randint(1, 3),
                                                 rng.choice(self.METHODS))
-                trace = run_delegation(ev, usage, Environment(),
+                trace = run_delegation(ev, usage,
                                        DelegationRequest(trustor=trustor, task=task,
                                                          transitivity=params),
                                        rng)
@@ -615,7 +600,7 @@ class TestDeterminism:
         lines = []
         evaluator = PathEvaluator(graph, profiles, store, tasks)
         for _ in range(40):
-            trace = run_delegation(evaluator, usage, Environment(), request_for(task), rng)
+            trace = run_delegation(evaluator, usage, request_for(task), rng)
             lines.append(trace.to_dict())
         return lines
 
@@ -632,21 +617,21 @@ class TestDeterminism:
             profiles[0] = AgentProfile(node=0, integrity=0.5, competence={0: 1.0})
             evaluator = PathEvaluator(graph, profiles, store, tasks)
             usage, rng = UsageLog(), random.Random(3)
-            traces += [run_delegation(evaluator, usage, Environment(), request_for(task), rng)
+            traces += [run_delegation(evaluator, usage, request_for(task), rng)
                        for _ in range(4)]
         assert {t.outcome is None for t in traces} == {True, False}
         assert any(t.rejections and t.outcome for t in traces)
         for trace in traces:
-            line = trace.to_line()
+            line = trace.to_line(PairText())
             assert line == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
             assert json.loads(line) == trace.to_dict()
 
     def test_trace_json_round_trips(self, tmp_path):
         graph, store, profiles, task, tasks = star_world()
         trace = run_delegation(PathEvaluator(graph, profiles, store, tasks), UsageLog(),
-                               Environment(), request_for(task), random.Random(1))
+                               request_for(task), random.Random(1))
         path = tmp_path / "trace.ndjson"
-        write_trace_log([trace.to_line()], path)
+        write_trace_log([trace.to_line(PairText())], path)
         data = json.loads(path.read_text())
         assert data["trustor"] == 0
         assert data["chosen"] == trace.chosen
@@ -689,15 +674,14 @@ class TestTraceEncoder:
                      chosen=st.none() | st.integers(0, 10**6), outcome=st.none() | _outcomes(),
                      nodes_interrogated=st.integers(0, 10**6)))
     def test_line_is_canonical_json_of_the_dict(self, trace):
-        line = trace.to_line()
+        line = trace.to_line(PairText())
         assert line == json.dumps(trace.to_dict(), sort_keys=True, separators=(",", ":"))
         assert json.loads(line) == trace.to_dict()
 
     def test_lines_stay_canonical_across_text_memo_clears(self):
-        # 9,000 distinct (node, trust) pairs fill the pair-text memo past its
-        # 4,096 entries, so it clears, then the same traces are encoded again
-        # from a partly refilled memo; values a few ulps apart share their
-        # rounded text under distinct keys
+        # 1,000 traces are encoded twice through one shared pair-text memo,
+        # so the second pass reads every pair's text from the memo; values a
+        # few ulps apart share their rounded text under distinct keys
         rng = random.Random(5)
         traces = []
         for i in range(1000):
@@ -705,16 +689,11 @@ class TestTraceEncoder:
             ranked[0] = (0, ranked[1][1] + 1e-12)
             traces.append(DelegationTrace(i, 0, ranked, [(n, rng.random()) for n in range(3)],
                                           None, None, 9))
-        delegation._PAIR_TEXT.clear()
-        sizes = []
+        text = PairText()
         for _ in range(2):
             for trace in traces:
-                assert trace.to_line() == json.dumps(trace.to_dict(), sort_keys=True,
-                                                     separators=(",", ":"))
-                sizes.append(len(delegation._PAIR_TEXT))
-        assert max(sizes) > 4096
-        assert max(sizes) <= 4096 + 9
-        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+                assert trace.to_line(text) == json.dumps(trace.to_dict(), sort_keys=True,
+                                                         separators=(",", ":"))
 
 
 class TestOracleInstances:

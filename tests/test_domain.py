@@ -13,7 +13,6 @@ from siotrust.domain import (
     SERVICE,
     AgentProfile,
     DelegationOutcome,
-    Environment,
     Scenario,
     ScenarioError,
     TrustRecord,
@@ -163,19 +162,6 @@ class TestUsageLog:
             log.seed(1, 2, 5, 3)
 
 
-class TestEnvironment:
-    def test_default_and_overrides(self):
-        env = Environment(values={3: 0.4}, default=1.0)
-        assert env.at(3) == 0.4
-        assert env.at(0) == 1.0
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            Environment(values={0: 0.0})
-        with pytest.raises(ValueError):
-            Environment(default=1.5)
-
-
 class TestDelegationOutcome:
     def test_success_zeroes_damage(self):
         with pytest.raises(ValueError, match="zero damage"):
@@ -210,8 +196,6 @@ RECORD_TYPES = [
                     "integrity": 0.8, "default_threshold": 0.2, "honest": False, "gain": 0.7,
                     "damage": 0.4, "cost": 0.1, "cost_multiplier": 2.5},
      ("integrity", 1.2, "integrity must be in [0, 1], got 1.2")),
-    (Environment, {"values": {3: 0.4, 7: 0.9}, "default": 0.8},
-     ("default", 1.5, "environment default must be in (0, 1], got 1.5")),
 ]
 
 

@@ -14,7 +14,6 @@ from siotrust.delegation import sample_outcome
 from siotrust.domain import (
     SERVICE,
     AgentProfile,
-    Environment,
     Scenario,
     ScenarioError,
     TrustRecord,
@@ -265,7 +264,7 @@ def reference_profit_series(profiles, trustor, sc, variant, run_idx, master, str
     profits, costs = [], []
     for _ in range(iterations):
         node = sorted(records.items(), key=lambda pair: (-score(pair[1]), pair[0]))[0][0]
-        outcome = sample_outcome(trustor, profiles[node], task, Environment(), (), rng)
+        outcome = sample_outcome(trustor, profiles[node], task, (), rng)
         records[node] = eng.update_estimates(records[node], outcome, sc.beta)
         profits.append(outcome.gain - outcome.damage - outcome.cost)
         costs.append(outcome.cost)

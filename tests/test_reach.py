@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import siotrust
 from siotrust.cli import main
-from siotrust.delegation import _PAIR_TEXT
 
 PACKAGE = Path(siotrust.__file__).parent
 
@@ -38,8 +37,6 @@ KEPT = {
            "the trace's reference shape, which TestTraceEncoder compares every line "
            "against, and a perfbench probe target",
            "out = {", "if self.outcome is not None:", 'out["outcome"] = {', "return out"),
-    **kept("delegation.DelegationTrace.to_line", "the memo clears past 4,096 entries",
-           "text.clear()"),
     **kept("delegation.PathEvaluator.invalidate",
            "the drop for a created record, which the multi-hop path updates need; every "
            "mutuality pair is preseeded and read before its write, and "
@@ -64,8 +61,6 @@ KEPT = {
     **kept("delegation._prefer", "the tie-breaks run only on exactly equal path values",
            "if len(new[2]) != len(cur[2]):", "return len(new[2]) < len(cur[2])",
            "return new[2] < cur[2]"),
-    **kept("delegation.sample_outcome", MULTI_HOP,
-           "snapshot += tuple(env.at(i) for i in intermediates)"),
     **kept("delegation.run_delegation", MULTI_HOP,
            "intermediates = sorted({node for path in relayed for node in path[1:-1]})",
            "rec_pairs = {(path[i], path[i + 1]) for path in relayed for i in range(len(path) - 2)}",
@@ -91,10 +86,6 @@ KEPT = {
     **kept("domain.UsageLog.counts",
            "the zero-history prior; every mutuality pair is preseeded, the delegation "
            "tests' logs are not", "return (0, 0)"),
-    **kept("domain.Environment.__new__", VALIDATED,
-           'raise ValueError(f"environment default must be in (0, 1], got {self.default}")',
-           "if not 0.0 < v <= 1.0:",
-           'raise ValueError(f"environment value for node {node} must be in (0, 1], got {v}")'),
     **kept("domain.DelegationOutcome.__new__", VALIDATED,
            '_check_unit("gain", gain)', '_check_unit("damage", damage)',
            '_check_unit("cost", cost)', "if success and damage != 0.0:",
@@ -289,9 +280,6 @@ def run_traced(calls) -> tuple:
     def on_call(frame, event, arg):
         return on_line if frame.f_code.co_filename.startswith(package) else None
 
-    # start from an empty trace memo, as a new process does: the entries an
-    # earlier run in this process left would keep its fill path from running
-    _PAIR_TEXT.clear()
     codes = []
     previous = sys.gettrace()
     sys.settrace(on_call)
