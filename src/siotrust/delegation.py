@@ -181,8 +181,10 @@ class PathEvaluator:
     `_hops[(observer, kind)][task id]`. A walk reads the row of each node
     it pops in place; on a miss it computes the hop through `_new_hop`, as
     `hop_tw` does. The exact-task trust comes from `pair_info`, so a hop
-    never reads the store itself. A hop's trust does not depend on the
-    method; the method picks only which neighbours count as evidence
+    never reads the store itself. A partly covered hop infers over the
+    task's covered parts, which `_covered_parts` keeps per (task id,
+    covered mask), built once per unit. A hop's trust does not depend on
+    the method; the method picks only which neighbours count as evidence
     (`evidence_row`) and how a chain folds (`_best_paths`).
 
     Invalidation contract: hops, index entries and evidence rows are all
@@ -195,7 +197,8 @@ class PathEvaluator:
     drops the hops to subject for the observer's other tasks of that kind,
     which may have been inferred from the old value. A new task id drops
     the pair info, the observer's hops to subject, its neighbour index
-    entry and its evidence rows, of the written kind only.
+    entry and its evidence rows, of the written kind only. Tasks never
+    change, so `invalidate` leaves the covered parts alone.
     """
 
     def __init__(
@@ -213,6 +216,7 @@ class PathEvaluator:
         self._hops: dict = {}
         self._neighbours: dict = {}
         self._evidence: dict = {}
+        self._covered_parts: dict = {}
 
     def invalidate(self, observer: int, subject: int, kind: str, task_id: int,
                    record: TrustRecord) -> None:
@@ -303,7 +307,10 @@ class PathEvaluator:
             elif covered == task_mask:
                 hit = (covered, eng.infer_task_tw(history, task))
             else:
-                parts = [(c, w) for c, w in task.parts if (1 << c) & covered]
+                parts = self._covered_parts.get((task_id, covered))
+                if parts is None:
+                    parts = self._covered_parts[task_id, covered] = tuple(
+                        [(c, w) for c, w in task.parts if (1 << c) & covered])
                 hit = (covered, eng.infer_subset_tw(history, parts))
         row[subject] = hit
         return hit
@@ -393,7 +400,7 @@ def _interrogate(evaluator: PathEvaluator, trustor: int, task: Task,
                 if rec is None:
                     rec = build_row(method, task, RECOMMENDATION, o)
                 for s in rec:
-                    if s != trustor and s not in reached:
+                    if s not in reached:
                         interrogated.add(s)
                         reached.add(s)
                         nxt.append(s)

@@ -135,16 +135,17 @@ def infer_characteristic_tw(
     """Weighted average of past task trust over tasks containing the characteristic.
 
     Each history task contributes its trust weighted by the characteristic's
-    weight within that task. Returns None when no past task contains it.
+    weight within that task, the first part that names it. Returns None when
+    no past task contains it.
     """
     num = 0.0
     den = 0.0
     for task, tw in history:
-        w = task.weight_of(char_id)
-        if w is None:
-            continue
-        num += w * tw
-        den += w
+        for c, w in task.parts:
+            if c == char_id:
+                num += w * tw
+                den += w
+                break
     if den == 0.0:
         return None
     return num / den
@@ -173,9 +174,13 @@ def infer_subset_tw(
 
     `parts` must be non-empty with positive weights, and each of its
     characteristics must appear in `history`: `PathEvaluator.hop_tw` passes
-    only the covered parts of a `make_task` task.
+    only the covered parts of a `make_task` task. The weights are summed
+    from left to right, so the bits do not depend on the Python version
+    (`sum` of floats compensates from 3.12 on).
     """
-    total_w = sum(w for _, w in parts)
+    total_w = 0.0
+    for _, w in parts:
+        total_w += w
     value = 0.0
     for char_id, weight in parts:
         value += (weight / total_w) * infer_characteristic_tw(history, char_id)

@@ -298,7 +298,8 @@ class TestRunDelegation:
 
 
 def assert_memos_fresh(ev):
-    """Every cached pair info, index entry, evidence row and hop of `ev` is a fresh evaluator's."""
+    """Every cached pair info, index entry, evidence row, hop and covered-parts
+    entry of `ev` is a fresh evaluator's."""
     fresh = PathEvaluator(ev.graph, ev.profiles, ev.store, ev.tasks)
     for key, info in ev._pair.items():
         assert info == fresh.pair_info(*key), key
@@ -312,6 +313,9 @@ def assert_memos_fresh(ev):
             for subject, hop in row.items():
                 expected = fresh.hop_tw(observer, subject, kind, ev.tasks[task_id])
                 assert hop == expected, (observer, subject, kind, task_id)
+    for (task_id, covered), parts in ev._covered_parts.items():
+        expected = [(c, w) for c, w in ev.tasks[task_id].parts if (1 << c) & covered]
+        assert list(parts) == expected, (task_id, covered)
 
 
 class CheckedEvaluator(PathEvaluator):
@@ -578,6 +582,26 @@ class TestHopTw:
                 assert ev.hop_tw(0, 1, kind, tasks[t]) == fresh.hop_tw(0, 1, kind, tasks[t])
                 assert ev.hop_tw(0, 1, kind, tasks[t]) != before[1, kind, t]
                 assert ev.hop_tw(0, 2, kind, tasks[t]) is before[2, kind, t]
+
+    def test_partial_hop_infers_over_its_own_tasks_covered_parts(self):
+        # The pair's history covers characteristics 0 and 1 of task 0's
+        # three, and of task 1's three: the same covered mask, different
+        # parts and weights. Each hop must infer over its own task's parts.
+        tasks = {0: make_task(0, [(0, 1.0), (1, 2.0), (2, 3.0)]),
+                 1: make_task(1, [(1, 5.0), (2, 1.0), (0, 4.0)]),
+                 2: make_task(2, [(0, 1.0)]),
+                 3: make_task(3, [(1, 3.0), (3, 1.0)])}
+        store = TrustStore()
+        store.put(0, 1, 2, SERVICE, TrustRecord(0.9, 1.0, 1.0, 0.0, 1))
+        store.put(0, 1, 3, SERVICE, TrustRecord(0.4, 1.0, 1.0, 0.0, 1))
+        ev = PathEvaluator(make_graph(2, [(0, 1)]), {}, store, tasks)
+        history = ev.pair_info(0, 1, SERVICE)[2]
+        for t in (0, 1):
+            parts = [(c, w) for c, w in tasks[t].parts if c in (0, 1)]
+            assert ev.hop_tw(0, 1, SERVICE, tasks[t]) == (0b11, eng.infer_subset_tw(history, parts))
+        assert ev.hop_tw(0, 1, SERVICE, tasks[0]) != ev.hop_tw(0, 1, SERVICE, tasks[1])
+        assert sorted(ev._covered_parts) == [(0, 0b11), (1, 0b11)]
+        assert_memos_fresh(ev)
 
     def test_task_outside_the_task_map_is_rejected(self):
         # the exact-task trust comes from pair_info, which sees only mapped tasks

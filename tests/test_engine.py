@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import siotrust.trust_engine as eng
@@ -198,6 +198,58 @@ class TestInference:
         tainted = clean + [(make_task(3, [(7, 1.0)]), 0.05)]
         target = make_task(9, [(0, 0.5), (1, 0.5)])
         assert eng.infer_task_tw(clean, target) == eng.infer_task_tw(tainted, target)
+
+
+def history_st():
+    """0-4 `make_task` tasks of 1-3 parts over characteristics 0-4, each with a trust."""
+    part = st.tuples(st.integers(0, 4), st.floats(0.01, 10.0))
+    parts = st.lists(part, min_size=1, max_size=3, unique_by=lambda p: p[0])
+    return st.lists(st.tuples(parts, unit), max_size=4).map(
+        lambda entries: [(make_task(i, ps), tw) for i, (ps, tw) in enumerate(entries)])
+
+
+def weight_of_characteristic_tw(history, char_id):
+    """`infer_characteristic_tw` as a loop over `Task.weight_of`."""
+    num = 0.0
+    den = 0.0
+    for task, tw in history:
+        w = task.weight_of(char_id)
+        if w is None:
+            continue
+        num += w * tw
+        den += w
+    if den == 0.0:
+        return None
+    return num / den
+
+
+def hex_or_none(x):
+    return None if x is None else x.hex()
+
+
+class TestInferenceBits:
+    """Inference gives the bits of its reference folds, entry by entry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(history_st(), st.integers(0, 5))
+    def test_characteristic_matches_weight_of_loop(self, history, char_id):
+        assert (hex_or_none(eng.infer_characteristic_tw(history, char_id))
+                == hex_or_none(weight_of_characteristic_tw(history, char_id)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(history_st(), st.data())
+    def test_subset_matches_left_to_right_fold(self, history, data):
+        seen = sorted({c for task, _ in history for c in task.char_ids})
+        assume(seen)
+        chars = data.draw(st.lists(st.sampled_from(seen), min_size=1, max_size=3, unique=True))
+        parts = [(c, data.draw(st.floats(0.01, 1.0))) for c in chars]
+        total_w = 0.0
+        for _, w in parts:
+            total_w += w
+        expected = 0.0
+        for c, w in parts:
+            expected += (w / total_w) * weight_of_characteristic_tw(history, c)
+        assert eng.infer_subset_tw(history, parts).hex() == expected.hex()
 
 
 def full_tw(store, tasks, target):

@@ -80,6 +80,10 @@ KEPT = {
            '_check_unit("gain", gain)', '_check_unit("damage", damage)',
            '_check_unit("cost", cost)', "if not 0.0 <= multiplier < math.inf:",
            'raise ValueError(f"cost_multiplier must be finite and >= 0, got {multiplier}")'),
+    **kept("domain.Task.weight_of",
+           "the frozen transitivity oracle (tests/test_transitivity.py) and test_domain call "
+           "it; inference reads task.parts directly",
+           "for c, w in self.parts:", "if c == char_id:", "return w", "return None"),
     **kept("domain.AgentProfile.task_competence", INTERNAL,
            'raise KeyError(f"node {self.node} has no competence for characteristic {char_id}")'),
     **kept("domain.UsageLog.seed", INTERNAL, 'raise ValueError("responsive count out of range")'),
