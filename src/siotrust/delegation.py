@@ -43,11 +43,15 @@ class DelegationRequest(NamedTuple):
 
 
 class Candidate(NamedTuple):
-    """A non-blocked potential trustee with its inferred trust and paths."""
+    """A non-blocked potential trustee with its inferred trust and paths.
+
+    Exactly one of `best_path` and `char_paths` is set: the aggressive
+    method carries one path per task characteristic, the others one path.
+    """
 
     node: int
     trust: float
-    best_path: tuple[int, ...]
+    best_path: Optional[tuple[int, ...]]
     char_paths: Optional[dict[int, tuple[int, ...]]] = None
 
 
@@ -58,6 +62,8 @@ _new_tuple = tuple.__new__
 
 
 class DiscoveryResult(NamedTuple):
+    """The candidates in decision order, and the nodes the sweep interrogated."""
+
     candidates: tuple[Candidate, ...]
     interrogated: frozenset[int]
 
@@ -87,14 +93,14 @@ _JSON_BOOL = {True: "true", False: "false"}
 class DelegationTrace(NamedTuple):
     """What happened during one delegation, serializable for the trace log.
 
-    `ranked_candidates` holds the ranked `Candidate`s and `rejections` the
-    (node, reverse trust) pairs; the log reads the node and trust of each
-    entry as its first two fields.
+    `ranked_candidates` holds discovery's `Candidate`s in decision order
+    and `rejections` the (node, reverse trust) pairs; the log reads the
+    node and trust of each entry as its first two fields.
     """
 
     trustor: int
     task_id: int
-    ranked_candidates: list[Candidate]
+    ranked_candidates: tuple[Candidate, ...]
     rejections: list[tuple[int, float]]
     chosen: Optional[int]
     outcome: Optional[DelegationOutcome]
@@ -449,7 +455,7 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
         if svc:
             hops = hop_row(o, SERVICE, task_id)
             for t in svc:
-                if t == trustor or t in path:
+                if t in path:
                     continue
                 hit = hops.get(t)
                 covered, tw = hit if hit is not None else new_hop(hops, o, t, SERVICE, task)
@@ -481,7 +487,7 @@ def _best_paths(evaluator: PathEvaluator, trustor: int, task: Task, params: eng.
             continue
         hops = hop_row(o, RECOMMENDATION, task_id)
         for s in rec:
-            if s == trustor or s in path:
+            if s in path:
                 continue
             hit = hops.get(s)
             covered, tw = hit if hit is not None else new_hop(hops, o, s, RECOMMENDATION, task)
@@ -508,8 +514,10 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
     `transit_pair`. Every hop reads the evaluator's hop memo (`hop_tw`).
     The two `evidence_rows` maps of the method and task are fetched once
     here, for the sweep and the walk. Candidates are trustee-capable nodes
-    whose transitivity value is not blocked, in node order, which
-    `rank_candidates` relies on.
+    whose transitivity value is not blocked, in decision order: highest
+    discovered trust first, ties to the lower node id. The node-ordered
+    list is sorted by trust alone, and a stable sort keeps tied trusts in
+    node order under `reverse` too.
     """
     params = request.transitivity
     method = params.method
@@ -524,18 +532,19 @@ def find_potential_trustees(evaluator: PathEvaluator, request: DelegationRequest
     # `_new_tuple` builds validated tuples in `domain`, without the
     # NamedTuple's Python-level `__new__`; neither type validates
     if method != eng.AGGRESSIVE:
-        return _new_tuple(DiscoveryResult, (tuple([best[t] for t in sorted(best)]), interrogated))
-    candidates = []
-    for t in sorted(best):
-        per_char = best[t]
-        if len(per_char) != len(task.parts):
-            continue
-        char_paths = {c: per_char[c][2] for c in sorted(per_char)}
-        value = 0.0
-        for char_id, weight in task.parts:
-            value += weight * per_char[char_id][1]
-        shortest = min(char_paths.values(), key=lambda p: (len(p), p))
-        candidates.append(_new_tuple(Candidate, (t, value, shortest, char_paths)))
+        candidates = [best[t] for t in sorted(best)]
+    else:
+        candidates = []
+        for t in sorted(best):
+            per_char = best[t]
+            if len(per_char) != len(task.parts):
+                continue
+            char_paths = {c: per_char[c][2] for c in sorted(per_char)}
+            value = 0.0
+            for char_id, weight in task.parts:
+                value += weight * per_char[char_id][1]
+            candidates.append(_new_tuple(Candidate, (t, value, None, char_paths)))
+    candidates.sort(key=_TRUST, reverse=True)
     return _new_tuple(DiscoveryResult, (tuple(candidates), interrogated))
 
 
@@ -580,18 +589,6 @@ def make_outcome(trustee: AgentProfile, snapshot: tuple, success: bool, abusive:
     return DelegationOutcome(False, 0.0, trustee.damage, cost, abusive, snapshot)
 
 
-def rank_candidates(candidates: Sequence[Candidate]) -> list[Candidate]:
-    """Highest discovered trust first, ties to the lower node id.
-
-    `candidates` must be in node order, as `find_potential_trustees`
-    returns them: the sort is by trust alone, and a stable sort keeps tied
-    trusts in their given order under `reverse` too. The protocol and the
-    transitivity experiment rank by trust alone; the success_only and
-    full_profit strategies are the profit experiment's.
-    """
-    return sorted(candidates, key=_TRUST, reverse=True)
-
-
 def run_delegation(
     evaluator: PathEvaluator,
     usage_log: UsageLog,
@@ -600,14 +597,16 @@ def run_delegation(
 ) -> DelegationTrace:
     """Run the full mutual-evaluation protocol for one request.
 
-    Walks the ranked candidates, applying the trustee-side reverse
-    evaluation at each; the first acceptor executes the task. Both sides
+    Walks discovery's candidates in decision order, applying the
+    trustee-side reverse evaluation at each; the first acceptor executes
+    the task. Both sides
     then update: the trustor's service record about the trustee (and
     recommendation records along the used paths), the trustee's usage log
     with the responsive/abusive draw. The records are written to the
     evaluator's store, and every written record is passed to its
     `invalidate`. Only a path with a relay has intermediates and
-    recommendation records to update. The trace keeps the ranked candidates.
+    recommendation records to update. The trace keeps discovery's
+    candidates.
     """
     task = request.task
     task_id = task.id
@@ -615,20 +614,19 @@ def run_delegation(
     profiles = evaluator.profiles
     store = evaluator.store
     disc = find_potential_trustees(evaluator, request)
-    ranked = rank_candidates(disc.candidates)
     rejections = []
     chosen: Optional[Candidate] = None
-    for candidate in ranked:
+    for candidate in disc.candidates:
         accepted, rev = eng.reverse_evaluate(profiles[candidate.node], trustor, usage_log)
         if accepted:
             chosen = candidate
             break
         rejections.append((candidate.node, rev))
     if chosen is None:
-        return _new_tuple(DelegationTrace, (trustor, task_id, ranked, rejections, None,
+        return _new_tuple(DelegationTrace, (trustor, task_id, disc.candidates, rejections, None,
                                             None, disc.nodes_interrogated))
 
-    paths = chosen.char_paths.values() if chosen.char_paths else (chosen.best_path,)
+    paths = (chosen.best_path,) if chosen.char_paths is None else chosen.char_paths.values()
     relayed = [path for path in paths if len(path) > 2]
     intermediates = []
     writes = [(trustor, chosen.node, SERVICE)]
@@ -645,5 +643,5 @@ def run_delegation(
         updated = eng.update_estimates(base, outcome, request.beta)
         store.put(observer, subject, task_id, kind, updated)
         evaluator.invalidate(observer, subject, kind, task_id, updated)
-    return _new_tuple(DelegationTrace, (trustor, task_id, ranked, rejections, chosen.node,
+    return _new_tuple(DelegationTrace, (trustor, task_id, disc.candidates, rejections, chosen.node,
                                         outcome, disc.nodes_interrogated))

@@ -201,8 +201,6 @@ class AgentProfile(_ProfileFields):
     def task_competence(self, task: Task) -> float:
         total = 0.0
         for char_id, weight in task.parts:
-            if char_id not in self.competence:
-                raise KeyError(f"node {self.node} has no competence for characteristic {char_id}")
             total += weight * self.competence[char_id]
         return total
 

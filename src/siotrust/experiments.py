@@ -26,7 +26,6 @@ from .delegation import (
     draw_delegation,
     find_potential_trustees,
     make_outcome,
-    rank_candidates,
     run_delegation,
 )
 from .domain import (
@@ -502,7 +501,7 @@ def _transitivity_unit(args):
             if not disc.candidates:
                 unavailable += 1
                 continue
-            chosen = rank_candidates(disc.candidates)[0]
+            chosen = disc.candidates[0]
             if u_success < profiles[chosen.node].task_competence(target):
                 successes += 1
         n_req = len(requests)

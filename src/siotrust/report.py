@@ -33,8 +33,7 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
     finally:
-        if tmp.exists():
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def _run_key(run) -> tuple:

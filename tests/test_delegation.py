@@ -17,7 +17,6 @@ from siotrust.delegation import (
     PairText,
     PathEvaluator,
     find_potential_trustees,
-    rank_candidates,
     run_delegation,
     sample_outcome,
 )
@@ -119,9 +118,9 @@ class TestDiscovery:
         disc = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks), request_for(task))
         assert {c.node for c in disc.candidates} <= set(disc.interrogated)
 
-    def test_candidates_in_node_order_on_random_worlds(self):
-        # rank_candidates relies on this order to break trust ties
-        multi = 0
+    def test_candidates_in_decision_order_on_random_worlds(self):
+        # highest trust first, ties to the lower node: the protocol walks this order
+        unsorted = 0
         for seed in range(40):
             graph, store, profiles, trustor, task, params, tasks = random_instance(seed)
             ev = PathEvaluator(graph, profiles, store, tasks)
@@ -131,13 +130,28 @@ class TestDiscovery:
                         probe = eng.TransitivityParams(omega1, omega2, hops, method)
                         disc = find_potential_trustees(
                             ev, DelegationRequest(trustor=trustor, task=task, transitivity=probe))
-                        nodes = [c.node for c in disc.candidates]
-                        assert nodes == sorted(set(nodes)), (seed, method, hops)
+                        keys = [(-c.trust, c.node) for c in disc.candidates]
+                        assert keys == sorted(keys), (seed, method, hops)
+                        assert len({c.node for c in disc.candidates}) == len(keys)
                         assert all(type(c) is Candidate for c in disc.candidates)
-                        assert all((c.char_paths is None) == (method != eng.AGGRESSIVE)
+                        aggressive = method == eng.AGGRESSIVE
+                        assert all((c.best_path is None) == aggressive
+                                   and (c.char_paths is None) != aggressive
                                    for c in disc.candidates)
-                        multi += len(nodes) > 1
-        assert multi
+                        nodes = [c.node for c in disc.candidates]
+                        unsorted += nodes != sorted(nodes)
+        assert unsorted
+
+    def test_tied_trusts_go_to_the_lower_node(self):
+        # 2 and 3 hold identical records, 1 a weaker one
+        graph, store, profiles, task, tasks = star_world(trustee_count=3)
+        store.put(0, 1, 0, SERVICE, TrustRecord(0.7, 1.0, 1.0, 0.0, 1))
+        for method in METHODS:
+            for hops in (1, 3):
+                disc = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks),
+                                               request_for(task, method=method, max_hops=hops))
+                assert [c.node for c in disc.candidates] == [2, 3, 1], (method, hops)
+                assert disc.candidates[0].trust == disc.candidates[1].trust
 
     def test_evaluator_freed_without_cycle_collection(self):
         # a cycle left by discovery would keep a finished unit's evaluator,
@@ -152,17 +166,6 @@ class TestDiscovery:
             assert ref() is None
         finally:
             gc.enable()
-
-
-class TestRanking:
-    # node-ordered candidates, as discovery returns them, with trusts from a
-    # small set so that ties are common
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.dictionaries(st.integers(0, 40), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
-                           max_size=12))
-    def test_rank_is_the_trust_then_node_sort(self, trust_by_node):
-        candidates = [Candidate(n, t, (0, n)) for n, t in sorted(trust_by_node.items())]
-        assert rank_candidates(candidates) == sorted(candidates, key=lambda c: (-c.trust, c.node))
 
 
 class TestSampleOutcome:

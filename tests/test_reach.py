@@ -84,8 +84,6 @@ KEPT = {
            "the frozen transitivity oracle (tests/test_transitivity.py) and test_domain call "
            "it; inference reads task.parts directly",
            "for c, w in self.parts:", "if c == char_id:", "return w", "return None"),
-    **kept("domain.AgentProfile.task_competence", INTERNAL,
-           'raise KeyError(f"node {self.node} has no competence for characteristic {char_id}")'),
     **kept("domain.UsageLog.seed", INTERNAL, 'raise ValueError("responsive count out of range")'),
     **kept("domain.UsageLog.counts",
            "the zero-history prior; every mutuality pair is preseeded, the delegation "
