@@ -168,6 +168,25 @@ class TestDiscovery:
             gc.enable()
 
 
+class TestRanking:
+    # a star of direct records whose estimates come from a small set, so that
+    # tied trusts are common; discovery returns them in decision order
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.integers(1, 40), st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+                           max_size=12))
+    def test_rank_is_the_trust_then_node_sort(self, s_hat_by_node):
+        graph, _, profiles, task, tasks = star_world(trustee_count=40)
+        store = TrustStore()
+        for node, s_hat in s_hat_by_node.items():
+            store.put(0, node, 0, SERVICE, TrustRecord(s_hat, 1.0, 1.0, 0.0, 1))
+        for method in METHODS:
+            disc = find_potential_trustees(PathEvaluator(graph, profiles, store, tasks),
+                                           request_for(task, method=method))
+            expected = sorted(s_hat_by_node, key=lambda n: (-s_hat_by_node[n], n))
+            assert [c.node for c in disc.candidates] == expected, method
+            assert list(disc.candidates) == sorted(disc.candidates, key=lambda c: (-c.trust, c.node))
+
+
 class TestSampleOutcome:
     def test_effective_probability_scales_with_environment(self):
         # the protocol's environment is ideal, so the task competence is the threshold
