@@ -598,14 +598,22 @@ def _profit_unit(args):
         rng_play = random.Random(derive_seed(master, "profit-play", variant, run_idx))
         values = []
         append = values.append
+        # only the leader's score changes, so it stays first (ties to the
+        # lower index included) unless that score falls below `top`
+        node = select(scores)
+        top = scores[node]
         for _ in range(iterations):
-            node = select(scores)
             p_success, outcomes = tables[node]
             success, abusive = draw_delegation(p_success, integrity, rng_play)
             outcome, value = outcomes[success][abusive]
             records[node] = record = update_estimates(records[node], outcome, beta)
-            scores[node] = score(record, strategy)
+            scores[node] = new = score(record, strategy)
             append(value)
+            if new < top:
+                node = select(scores)
+                top = scores[node]
+            else:
+                top = new
         param = label(variant=variant, strategy=strategy)
         if variant == VARIANT_RANDOM:
             entries.append((param, run_idx, {}, {"net_profit": values}))

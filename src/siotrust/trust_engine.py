@@ -222,8 +222,10 @@ def select_trustee(scores: Sequence[float]) -> int:
     """Index of the highest score; ties go to the lower index.
 
     `scores` holds one `strategy_score` per candidate, indexed by
-    candidate; the profit experiment is its only caller. An empty sequence
-    raises ValueError, from `max`.
+    candidate; the profit experiment is its only caller. Its loop changes
+    one score per iteration, the leader's, and calls this again only when
+    that score falls: a score that rose or held keeps the leader first.
+    An empty sequence raises ValueError, from `max`.
     """
     # index finds the first maximum, so the lower index wins ties
     return scores.index(max(scores))

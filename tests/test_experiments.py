@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import json
+import math
 import random
 import statistics
 
@@ -262,13 +263,16 @@ def reference_profit_series(profiles, trustor, sc, variant, run_idx, master, str
     rng = random.Random(derive_seed(master, "profit-play", variant, run_idx))
     task = make_task(0, [(0, 1.0)])
     profits, costs = [], []
+    falls = 0
     for _ in range(iterations):
         node = sorted(records.items(), key=lambda pair: (-score(pair[1]), pair[0]))[0][0]
         outcome = sample_outcome(trustor, profiles[node], task, (), rng)
-        records[node] = eng.update_estimates(records[node], outcome, sc.beta)
+        old = records[node]
+        records[node] = eng.update_estimates(old, outcome, sc.beta)
+        falls += score(records[node]) < score(old)
         profits.append(outcome.gain - outcome.damage - outcome.cost)
         costs.append(outcome.cost)
-    return {"profits": profits, "costs": costs}
+    return {"profits": profits, "costs": costs, "falls": falls}
 
 
 def profit_unit_and_profiles(sc, variant, run_idx, master):
@@ -286,11 +290,27 @@ def profit_unit_and_profiles(sc, variant, run_idx, master):
     return result, profiles, trustor
 
 
+# the largest beta a scenario accepts: a failure then lowers a 0.5 `s_hat`
+# by one ulp, the smallest fall a leader's score can take
+NEAR_ONE_BETA = 1 - 2 ** -53
+
+
 class TestProfitOracle:
     @pytest.mark.parametrize("variant", [experiments.VARIANT_RANDOM, experiments.VARIANT_ATTACK])
     def test_unit_matches_full_sort_reference(self, variant):
         # equal initial estimates make the first picks five-way ties
-        sc = Scenario(profit_candidates=5, profit_iterations=80, attack_tasks=60)
+        self.check(Scenario(profit_candidates=5, profit_iterations=80, attack_tasks=60), variant)
+
+    @pytest.mark.parametrize("variant", [experiments.VARIANT_RANDOM, experiments.VARIANT_ATTACK])
+    def test_a_one_ulp_fall_passes_the_lead(self, variant):
+        # each failure leaves the leader one ulp below the 0.5 the others
+        # hold, so the lead must change hands on the smallest possible fall
+        assert eng.blend(0.5, 0.0, NEAR_ONE_BETA) == math.nextafter(0.5, 0.0)
+        self.check(Scenario(profit_candidates=5, profit_iterations=80, attack_tasks=60,
+                            beta=NEAR_ONE_BETA), variant)
+
+    @staticmethod
+    def check(sc, variant):
         for run_idx in range(3):
             (entries, traces), profiles, trustor = profit_unit_and_profiles(sc, variant, run_idx, 7)
             assert len(profiles) == 5
@@ -319,7 +339,31 @@ def profit_scenarios(draw):
                     attack_tasks=draw(st.integers(1, 60)),
                     dishonest_fraction=draw(st.floats(0.0, 1.0)),
                     cost_multiplier=draw(st.sampled_from([0.0, 1.0, 3.0, 50.0])),
-                    beta=draw(st.sampled_from([0.0, 0.1, 0.5])))
+                    beta=draw(st.sampled_from([0.0, 0.1, 0.5, NEAR_ONE_BETA])))
+
+
+class TestProfitRescans:
+    @pytest.mark.parametrize("variant", [experiments.VARIANT_RANDOM, experiments.VARIANT_ATTACK])
+    @pytest.mark.parametrize("beta", [0.0, 0.1, NEAR_ONE_BETA])
+    def test_select_runs_once_per_strategy_and_after_each_fall(self, variant, beta):
+        # the unit keeps its leader while the leader's score rises or holds,
+        # so a loop that rescans every iteration calls `select_trustee` more
+        calls = []
+        select = eng.select_trustee
+
+        def counting_select(scores):
+            calls.append(None)
+            return select(scores)
+
+        sc = Scenario(profit_candidates=6, profit_iterations=70, attack_tasks=55, beta=beta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eng, "select_trustee", counting_select)
+            _, profiles, trustor = profit_unit_and_profiles(sc, variant, 2, 5)
+        falls = sum(reference_profit_series(profiles, trustor, sc, variant, 2, 5, strategy)["falls"]
+                    for strategy in eng.STRATEGIES)
+        iterations = sc.attack_tasks if variant == experiments.VARIANT_ATTACK else sc.profit_iterations
+        assert 0 < falls < len(eng.STRATEGIES) * iterations
+        assert len(calls) == len(eng.STRATEGIES) + falls
 
 
 class TestProfitOutcomeTable:
